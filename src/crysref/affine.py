@@ -8,10 +8,10 @@ ring of exact scalars) and translation t.  Composition follows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ring import RingElement, RingMode, RingSpec, SpecMismatchError
+from .snf import smith_normal_form
 from .words import Word
 
 Matrix = tuple[tuple[RingElement, ...], ...]
@@ -75,9 +75,18 @@ class AffineElement:
         return AffineElement(self.spec, lin, tr)
 
     def inverse(self) -> "AffineElement":
-        inv = _matrix_inverse(self.spec, self.linear)
+        """Inverse of an element whose linear part is monomial (one unit
+        per row and column, as in every group here): entry (i, j) moves to
+        (j, i) and is inverted in the ring."""
         n = self.dim
         z = self.spec.zero()
+        cols = [[j for j in range(n) if not row[j].is_zero()] for row in self.linear]
+        if sorted(map(tuple, cols)) != [(j,) for j in range(n)]:
+            raise ValueError("only monomial linear parts are invertible here")
+        rows = [[z] * n for _ in range(n)]
+        for i, ((j,), row) in enumerate(zip(cols, self.linear)):
+            rows[j][i] = row[j].inverse()
+        inv = tuple(tuple(r) for r in rows)
         tr = tuple(
             -sum((inv[i][k] * self.translation[k] for k in range(n)), z)
             for i in range(n)
@@ -132,32 +141,6 @@ class AffineElement:
         return f"([{rows}] | [{' '.join(str(x) for x in self.translation)}])"
 
 
-def _matrix_inverse(spec: RingSpec, m: Matrix) -> Matrix:
-    """Inverse of a monomial-with-signs style matrix via adjugate-free
-    search is not general enough; do fraction-free Gauss over the regular
-    representation instead.  All linear parts in these groups are
-    monomial, so a fast path handles that case exactly."""
-    n = len(m)
-    # fast path: exactly one nonzero unit per row/column
-    cols: list[Optional[int]] = [None] * n
-    ok = True
-    for i in range(n):
-        nz = [j for j in range(n) if not m[i][j].is_zero()]
-        if len(nz) != 1 or not m[i][nz[0]].is_unit() or cols[nz[0]] is not None:
-            ok = False
-            break
-        cols[nz[0]] = i
-    if ok:
-        z = spec.zero()
-        inv = [[z] * n for _ in range(n)]
-        for j in range(n):
-            i = cols[j]
-            assert i is not None
-            inv[j][i] = m[i][j].inverse()
-        return tuple(tuple(row) for row in inv)
-    raise ValueError("only monomial linear parts are invertible here")
-
-
 # ---------------------------------------------------------------------
 # generator matrices
 
@@ -170,18 +153,6 @@ def _diag(spec: RingSpec, entries: Sequence[RingElement]) -> Matrix:
     return tuple(
         tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)
     )
-
-
-def _perm_matrix(spec: RingSpec, n: int, a: int, b: int) -> Matrix:
-    """Transposition of coordinates a and b (0-based)."""
-    z, o = spec.zero(), spec.one()
-    rows = []
-    for i in range(n):
-        r = [z] * n
-        j = b if i == a else a if i == b else i
-        r[j] = o
-        rows.append(tuple(r))
-    return tuple(rows)
 
 
 def _unit_vector(spec: RingSpec, n: int, i: int, value: RingElement) -> Vector:
@@ -214,7 +185,7 @@ def build_generator_matrices(
         for i in range(2, n + 1):
             gens_list.append(
                 AffineElement(
-                    spec, _perm_matrix(spec, n, i - 2, i - 1), (spec.zero(),) * n
+                    spec, _signed_transposition(spec, n, i - 2, i - 1), (spec.zero(),) * n
                 )
             )
         gens_list.append(AffineElement(spec, last, _unit_vector(spec, n, n - 1, one)))
@@ -227,7 +198,7 @@ def build_generator_matrices(
         if n < 2:
             raise RankOutOfRange("type A needs n >= 2")
         if n == 2:
-            sw = _perm_matrix(spec, 2, 0, 1)
+            sw = _signed_transposition(spec, 2, 0, 1)
             gens = (
                 AffineElement(spec, sw, (spec.zero(), spec.zero())),
                 AffineElement(spec, sw, (one, -one)),
@@ -238,10 +209,10 @@ def build_generator_matrices(
         for i in range(1, n):
             gens_list.append(
                 AffineElement(
-                    spec, _perm_matrix(spec, n, i - 1, i), (spec.zero(),) * n
+                    spec, _signed_transposition(spec, n, i - 1, i), (spec.zero(),) * n
                 )
             )
-        ends = _perm_matrix(spec, n, 0, n - 1)
+        ends = _signed_transposition(spec, n, 0, n - 1)
         t1 = tuple(
             one if j == 0 else -one if j == n - 1 else spec.zero() for j in range(n)
         )
@@ -277,7 +248,7 @@ def build_generator_matrices(
         for i in range(2, n + 1):
             gens_list.append(
                 AffineElement(
-                    spec, _perm_matrix(spec, n, i - 2, i - 1), (spec.zero(),) * n
+                    spec, _signed_transposition(spec, n, i - 2, i - 1), (spec.zero(),) * n
                 )
             )
         gens_list.append(
@@ -359,73 +330,28 @@ def _matrix_json(a: AffineElement) -> dict:
 # element classification
 
 
-def _rational_embedding_rows(spec: RingSpec, m: Matrix) -> list[list[int]]:
-    """Embed a matrix over the quadratic ring as an integer matrix via
-    the regular representation of each entry; works for both ring modes
-    (for the formal mode this stacks the constant and alpha parts, which
-    is exactly coordinatewise rank)."""
-    if spec.mode is RingMode.CYCLOTOMIC:
-        p, q = spec.reduction
-    else:
-        p, q = 0, 0
-    n = len(m)
+def linear_minus_identity_rank(a: AffineElement) -> int:
+    """Rank of g - 1 for the linear part g.
+
+    Each entry x + y·u becomes its regular-representation block
+    [[x, y·q], [y, x + y·p]] with u² = p·u + q (p = q = 0 in the formal
+    mode), and the rank is half the number of nonzero Smith invariants of
+    that integer matrix.  The embedding doubles the rank: over Q(ζ_d)
+    because it is a field of degree two, and in the formal mode because
+    every linear part is integral, so each block is x times the identity.
+    """
+    p, q = a.spec.reduction
+    n = a.dim
     rows: list[list[int]] = []
     for i in range(n):
         r1: list[int] = []
         r2: list[int] = []
         for j in range(n):
-            a, b = m[i][j].a, m[i][j].b
-            # (a + b u) * (x + y u) with u^2 = p u + q:
-            # column action [[a, b q], [b, a + b p]]
-            r1.extend([a, b * q])
-            r2.extend([b, a + b * p])
-        rows.append(r1)
-        rows.append(r2)
-    return rows
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for i in range(row + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col] * inv
-                for j in range(col, cols):
-                    m[i][j] -= f * m[row][j]
-        row += 1
-        rank += 1
-    return rank
-
-
-def linear_minus_identity_rank(a: AffineElement) -> int:
-    spec = a.spec
-    n = a.dim
-    one = spec.one()
-    diff = tuple(
-        tuple(
-            a.linear[i][j] - one if i == j else a.linear[i][j] for j in range(n)
-        )
-        for i in range(n)
-    )
-    r = _int_rank(_rational_embedding_rows(spec, diff))
-    if spec.mode is RingMode.CYCLOTOMIC:
-        # regular representation doubles the rank exactly
-        return r // 2
-    # formal mode: the embedding stacks constant/alpha coordinates; linear
-    # parts of these groups are integral so both agree, take the integer rank
-    return _int_rank([[x.a for x in row] for row in diff])
+            x, y = a.linear[i][j].a - (i == j), a.linear[i][j].b
+            r1 += [x, y * q]
+            r2 += [y, x + y * p]
+        rows += [r1, r2]
+    return sum(1 for d in smith_normal_form(rows, 2 * n) if d) // 2
 
 
 def classify_element(a: AffineElement) -> dict:
@@ -435,24 +361,16 @@ def classify_element(a: AffineElement) -> dict:
     spec = a.spec
     if a.is_identity():
         return {"kind": "identity"}
-    is_lin_id = AffineElement(spec, a.linear, (spec.zero(),) * n).is_identity()
-    if is_lin_id:
+    lin = AffineElement(spec, a.linear, (spec.zero(),) * n)
+    if lin.is_identity():
         return {"kind": "translation"}
     rank = linear_minus_identity_rank(a)
-    # finite order <=> N t = 0 where N = sum of powers of the linear part
-    lin = AffineElement(spec, a.linear, (spec.zero(),) * n)
+    # with k the order of g, (g | t)^k = (1 | N·t) for N = 1 + g + ... +
+    # g^(k-1): the element has finite order, then exactly k, iff N·t = 0
     k = lin.order()
-    finite = False
-    if k is not None:
-        acc = (spec.zero(),) * n
-        g = AffineElement.identity(spec, n)
-        for _ in range(k):
-            v = g.apply(a.translation)
-            acc = tuple(x + y for x, y in zip(acc, v))
-            g = lin * g
-        finite = all(x.is_zero() for x in acc)
+    finite = k is not None and (a ** k).is_identity()
     if rank == 1 and finite:
-        out = {"kind": "reflection", "order": a.order()}
+        out = {"kind": "reflection", "order": k}
         diagonal = all(
             a.linear[i][j].is_zero() for i in range(n) for j in range(n) if i != j
         )
@@ -493,10 +411,11 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
 
     # the conjugation edges are a fixed graph; one pass over all edges is
     # enough for union-find connectivity
-    conjugators = list(gens) + [g.inverse() for g in gens]
+    conjugators = [(g, g.inverse()) for g in gens]
+    conjugators += [(c_inv, c) for c, c_inv in conjugators]
     for x in extended:
-        for c in conjugators:
-            y = c * x * c.inverse()
+        for c, c_inv in conjugators:
+            y = c * x * c_inv
             if y in parent:
                 union(x, y)
     classes: dict[AffineElement, list[AffineElement]] = {}
@@ -549,7 +468,7 @@ def _reflection_candidates(
     elif family == "A_alpha":
         for i in range(n):
             for j in range(i + 1, n):
-                lin = _perm_matrix(spec, n, i, j)
+                lin = _signed_transposition(spec, n, i, j)
                 for c in coeffs:
                     t = tuple(
                         c if k == i else -c if k == j else spec.zero()
@@ -569,7 +488,7 @@ def _reflection_candidates(
 
 
 def _signed_transposition(
-    spec: RingSpec, n: int, i: int, j: int, eps: int
+    spec: RingSpec, n: int, i: int, j: int, eps: int = 1
 ) -> Matrix:
     """Swap coordinates i and j with sign eps on the off-diagonal pair."""
     z, one = spec.zero(), spec.one()

@@ -4,13 +4,17 @@ Subcommands: verify, braid, abelianize, classes, hecke, prove, replay,
 export.  Exit codes: 0 every check passed, 1 a check failed, 2 a prover
 returned Unknown, 64 usage error.  ``--json`` emits a machine-readable
 report (``"schema": 1``).  The environment variable
-``CRYSREF_BUDGET_SCALE`` multiplies all search budgets.
+``CRYSREF_BUDGET_SCALE`` multiplies all search budgets; it must be a
+finite number > 0.  If the reader of stdout goes away, the rest of the
+report is dropped and the exit code still gives the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 
@@ -64,6 +68,17 @@ def _budget_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the prover depth budget")
     parser.add_argument("--max-len", type=int, default=None,
                         help="override the prover word-length budget")
+
+
+def _check_budget_scale() -> None:
+    text = os.environ.get("CRYSREF_BUDGET_SCALE", "")
+    try:
+        scale = float(text or "1")
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise _UsageError("CRYSREF_BUDGET_SCALE must be a finite number > 0, "
+                          f"got {text!r}")
 
 
 def _build(family: str, n: int):
@@ -186,6 +201,8 @@ def cmd_classes(args) -> tuple[dict, int]:
         raise _UsageError(
             f"class enumeration needs matrices; choose from "
             + ", ".join(MATRIX_FAMILIES))
+    if args.bound < 0:
+        raise _UsageError(f"--bound must be >= 0, got {args.bound}")
     try:
         classes = enumerate_reflection_classes(args.family, args.n,
                                                bound=args.bound)
@@ -378,6 +395,7 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     start = time.time()
     try:
+        _check_budget_scale()
         report, code = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,16 +403,20 @@ def main(argv=None) -> int:
     report = _jsonable({"schema": 1, "command": args.command, **report,
                         "wall_time": round(time.time() - start, 3),
                         "exit_code": code})
-    if args.json:
-        json.dump(report, fh := sys.stdout, indent=2)
-        fh.write("\n")
-    else:
-        if args.command == "abelianize":
+    try:
+        if args.json:
+            json.dump(report, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        elif args.command == "abelianize":
             print(" ".join(str(d) for d in report["divisors"]))
         elif args.command == "export":
             print(report["text"], end="")
         else:
             _plain_render(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what Python flushes at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -23,10 +23,8 @@ from .presentations import (
 from .prover import (
     Budget,
     GeneratorMap,
-    ProofResult,
     ProofStatus,
     prove_trivial,
-    resolve_hint,
     verify_homomorphism,
 )
 from .words import Word
@@ -639,60 +637,19 @@ def triple_dot_report(n: int, budget_scale: float | None = None) -> dict:
 
 def degeneration_check(family: str, n: int) -> bool:
     """Under s_{*j} ↦ ζ^j the char polys annihilate the homogenized
-    matrix generators: the deformation degenerates to the group."""
+    matrix generators: the deformation degenerates to the group.
+
+    With ζ of order e, ∏_{j=1..e} (X − ζ^j) = X^e − 1, so the specialised
+    characteristic polynomial of a generator with e roots annihilates the
+    homogenized matrix g exactly when g^e = 1.
+    """
     from .affine import build_generator_matrices, evaluate_word
-    from .ring import RingMode
 
-    spec, gens = build_generator_matrices(family, n)
+    _, gens = build_generator_matrices(family, n)
     hp = build_generic_hecke(family, n)
-    dim = gens[0].dim + 1
-
-    def homog(a):
-        rows = [list(r) + [t] for r, t in zip(a.linear, a.translation)]
-        rows.append([spec.zero()] * (dim - 1) + [spec.one()])
-        return tuple(tuple(r) for r in rows)
-
-    def mat_mul(x, y):
-        return tuple(
-            tuple(
-                sum((x[i][k] * y[k][j] for k in range(dim)), spec.zero())
-                for j in range(dim)
-            )
-            for i in range(dim)
-        )
-
-    def mat_sub_scalar(x, c):
-        return tuple(
-            tuple(x[i][j] - c if i == j else x[i][j] for j in range(dim))
-            for i in range(dim)
-        )
-
-    def zeta_of_order(e: int):
-        if e == 2:
-            return -spec.one()
-        if spec.mode is RingMode.FORMAL_ALPHA:
-            raise ValueError("only order-2 roots exist in the formal ring")
-        z = spec.gen()
-        d = spec.d
-        if d % e != 0:
-            raise ValueError(f"no order-{e} root of unity in Z[zeta_{d}]")
-        return z ** (d // e)
-
-    def annihilated(mat, e: int) -> bool:
-        z = zeta_of_order(e)
-        prod = None
-        for j in range(1, e + 1):
-            factor = mat_sub_scalar(mat, z ** j)
-            prod = factor if prod is None else mat_mul(prod, factor)
-        return all(x.is_zero() for row in prod for x in row)
-
-    ok = True
-    for g, roots in zip(gens, hp.gen_roots):
-        ok = ok and annihilated(homog(g), len(roots))
-    base = hp.extra_word
-    sigma0 = evaluate_word(base, gens)
-    ok = ok and annihilated(homog(sigma0), len(hp.extra_roots))
-    return ok
+    pairs = list(zip(gens, hp.gen_roots))
+    pairs.append((evaluate_word(hp.extra_word, gens), hp.extra_roots))
+    return all((g ** len(roots)).is_identity() for g, roots in pairs)
 
 
 # ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ words; the diagram is metadata, never the source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -439,9 +439,6 @@ def build_group_presentation(family: str, n: int) -> Presentation:
 
 # ---------------------------------------------------------------------
 # braid presentations of the configuration spaces
-
-BRAID_SPACES = ("PuncturedSphere4", "TorusSpecial", "FreeRank3")
-
 
 def punctured_sphere_braid(holes: int, n: int) -> Presentation:
     """Surface braid group of n points on the sphere with the given number

@@ -14,10 +14,10 @@ import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .snf import smith_normal_form
-from .words import Letter, Word, free_reduce
+from .words import Letter, Word
 
 
 class ProofStatus(Enum):
@@ -79,15 +79,15 @@ class Certificate:
             ln = ln.strip()
             if not ln:
                 continue
-            m = ins.match(ln)
-            if m:
+            m = ins.match(ln) or can.match(ln)
+            if not m:
+                raise ValueError(f"bad certificate line {ln!r}")
+            if int(m.group(1)) != len(steps):
+                raise ValueError(f"expected step {len(steps)}, got {ln!r}")
+            if m.re is ins:
                 steps.append(("insert", int(m.group(2)), int(m.group(3)), int(m.group(4))))
-                continue
-            m = can.match(ln)
-            if m:
+            else:
                 steps.append(("cancel", int(m.group(2))))
-                continue
-            raise ValueError(f"bad certificate line {ln!r}")
         return cls(tuple(steps))
 
 

@@ -68,14 +68,6 @@ class RingSpec:
         return cls(RingMode.FORMAL_ALPHA)
 
     @property
-    def minimal_polynomial(self) -> list[int] | None:
-        """Coefficients [c0, c1, 1] of the monic minimal polynomial, or None."""
-        if self.mode is RingMode.FORMAL_ALPHA:
-            return None
-        p, q, _ = _CYCLO_DATA[self.d]  # u² = p·u + q  ⟺  u² − p·u − q = 0
-        return [-q, -p, 1]
-
-    @property
     def symbol(self) -> str:
         if self.mode is RingMode.FORMAL_ALPHA:
             return "α"
@@ -150,13 +142,6 @@ class RingElement:
 
     def is_one(self) -> bool:
         return self.a == 1 and self.b == 0
-
-    def is_unit(self) -> bool:
-        try:
-            self.inverse()
-        except NotAUnit:
-            return False
-        return True
 
     def inverse(self) -> "RingElement":
         """Multiplicative inverse of a ring unit.

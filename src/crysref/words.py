@@ -139,10 +139,3 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
             raise ValueError(f"unknown generator {name!r}")
         letters.append((index[name], e))
     return Word(letters)
-
-
-def chain(*indices: int) -> Word:
-    """Shorthand: positive/negative 1-based style helper is avoided on
-    purpose; indices here are 0-based, negatives mean inverses as in
-    :meth:`Word.from_indices`."""
-    return Word.from_indices(indices)

@@ -1,6 +1,7 @@
 """Affine matrix models: presentation checks, element orders, classes."""
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from crysref.affine import (
@@ -9,6 +10,7 @@ from crysref.affine import (
     classify_element,
     enumerate_reflection_classes,
     evaluate_word,
+    linear_minus_identity_rank,
     verify_presentation,
 )
 from crysref.presentations import build_group_presentation
@@ -61,6 +63,40 @@ def test_evaluate_word_is_homomorphism(family, n):
         u, v = Word(ls1), Word(ls2)
         assert evaluate_word(u * v, gens) == evaluate_word(u, gens) * evaluate_word(v, gens)
         assert evaluate_word(u.inverse(), gens) == evaluate_word(u, gens).inverse()
+
+    inner()
+
+
+# the adjoined generator as an exact sympy number; alpha stays a symbol
+SYMPY_GEN = {
+    "α": sympy.Symbol("alpha"),
+    "ζ3": sympy.Rational(-1, 2) + sympy.sqrt(3) * sympy.I / 2,
+    "i": sympy.I,
+    "ζ6": sympy.Rational(1, 2) + sympy.sqrt(3) * sympy.I / 2,
+}
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in MATRIX_FAMILIES for n in (1, 2, 3) if (f, n) != ("A_alpha", 1)],
+    ids=str,
+)
+def test_rank_matches_sympy(family, n):
+    spec, gens = build_generator_matrices(family, n)
+    w = SYMPY_GEN[spec.symbol]
+    letters = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(gens) - 1),
+                  st.sampled_from([-1, 1])),
+        max_size=8,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(letters)
+    def inner(ls):
+        a = evaluate_word(Word(ls), gens)
+        g = sympy.Matrix([[x.a + x.b * w for x in row] for row in a.linear])
+        expected = (g - sympy.eye(n)).rank(simplify=True)
+        assert linear_minus_identity_rank(a) == expected
 
     inner()
 

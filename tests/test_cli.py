@@ -1,9 +1,13 @@
 """CLI contract: subcommands, exit codes, JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import crysref
 from crysref.cli import main
 
 
@@ -67,6 +71,49 @@ def test_classes_json(capsys):
     code, rep = run_json(capsys, "classes", "C_alpha", "1")
     assert code == 0
     assert rep["count"] == 4
+
+
+def test_classes_negative_bound_is_usage_error(capsys):
+    # a negative bound gives an empty window: "count: 0, pass: True"
+    code, out, err = run(capsys, "classes", "C_alpha", "2", "--bound", "-1")
+    assert code == 64
+    assert out == ""
+    assert err == "error: --bound must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+def test_bad_budget_scale_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)
+    code, out, err = run(capsys, "prove", "C_alpha", "1", "s1 s1")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: CRYSREF_BUDGET_SCALE") and err.count("\n") == 1
+
+
+def test_good_budget_scale_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSREF_BUDGET_SCALE", "0.5")
+    code, rep = run_json(capsys, "prove", "C_alpha", "1", "s1 s1")
+    assert code == 0 and rep["status"] == "proved"
+
+
+def test_closed_stdout_gives_no_traceback():
+    # the report goes to a pipe whose reader is already gone, as in
+    # `crysref --json ... | head -c 10`
+    src = os.path.dirname(os.path.dirname(crysref.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crysref.cli", "--json", "verify", "C_alpha", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 def test_braid_replay_mode(capsys):

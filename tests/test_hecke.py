@@ -1,8 +1,11 @@
 """Laurent arithmetic, Hecke/GDAHA specialization, degenerations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crysref.hecke
 from crysref.hecke import (
     GDAHA_LEGS,
     LaurentPoly,
@@ -160,3 +163,19 @@ def test_triple_dot_corrupted_word_not_proved():
 @pytest.mark.parametrize("family", ["A_alpha", "C_alpha", "G311", "G411", "G611"])
 def test_cyclotomic_degeneration(family):
     assert degeneration_check(family, 2)
+
+
+def test_degeneration_fails_on_a_wrong_root_count(monkeypatch):
+    # give the order-2 transposition s2 of G311 at n=2 three roots: the
+    # specialised char poly is then H^3 - 1 = H - 1, which is not zero
+    build = crysref.hecke.build_generic_hecke
+
+    def three_roots(family, n):
+        hp = build(family, n)
+        roots = list(hp.gen_roots)
+        assert len(roots[1]) == 2
+        roots[1] += roots[1][:1]
+        return dataclasses.replace(hp, gen_roots=tuple(roots))
+
+    monkeypatch.setattr(crysref.hecke, "build_generic_hecke", three_roots)
+    assert degeneration_check("G311", 2) is False

@@ -73,6 +73,12 @@ def test_certificate_text_round_trip():
     assert check_certificate(again, w, REL)
 
 
+def test_certificate_text_rejects_misnumbered_steps():
+    text = "step 0: insert R0@0 at 0\nstep 2: cancel at 0\n"
+    with pytest.raises(ValueError, match="expected step 1"):
+        Certificate.from_text(text)
+
+
 def test_replay_rejects_malformed_step():
     cert = Certificate((("insert", 999, 0, 0),))
     with pytest.raises(ValueError):
