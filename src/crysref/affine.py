@@ -1,37 +1,45 @@
-"""Exact affine matrix representations of the crystallographic families.
+"""Exact affine representations of the crystallographic families.
 
-An affine element is a pair (g | t): linear part g (square matrix over a
-ring of exact scalars) and translation t.  Composition follows
-(g | t)(g' | t') = (g g' | g t' + t).
+An affine element is a pair (g | t): linear part g and translation t over
+a ring of exact scalars.  Composition follows
+(g | t)(g' | t') = (g g' | g t' + t).  Every linear part here is monomial
+(one unit per row and column), so an element is stored as
+(perm, units | t): row i of g holds units[i] in column perm[i].  The rank
+of g - 1 and the order of g are read off the cycles of perm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Sequence
 
 from .ring import RingElement, RingMode, RingSpec, SpecMismatchError
-from .snf import smith_normal_form
 from .words import Word
 
 Matrix = tuple[tuple[RingElement, ...], ...]
 Vector = tuple[RingElement, ...]
+Monomial = tuple[tuple[int, ...], Vector]  # (perm, units)
 
 
 @dataclass(frozen=True)
 class AffineElement:
+    """(g | t) with g monomial: row i of g holds units[i] in column perm[i]."""
+
     spec: RingSpec
-    linear: Matrix
+    perm: tuple[int, ...]
+    units: Vector
     translation: Vector
 
     def __post_init__(self) -> None:
         n = len(self.translation)
-        if len(self.linear) != n or any(len(row) != n for row in self.linear):
-            raise ValueError("linear part must be square and match the translation")
-        for row in self.linear:
-            for x in row:
-                if x.spec != self.spec:
-                    raise SpecMismatchError("matrix entry from a different ring")
+        if len(self.units) != n or sorted(self.perm) != list(range(n)):
+            raise ValueError("perm must be a permutation matching the translation")
+        for x in self.units:
+            if x.spec != self.spec:
+                raise SpecMismatchError("matrix entry from a different ring")
+            if x.is_zero():
+                raise ValueError("a monomial linear part has no zero unit")
         for x in self.translation:
             if x.spec != self.spec:
                 raise SpecMismatchError("translation entry from a different ring")
@@ -40,58 +48,44 @@ class AffineElement:
 
     @classmethod
     def identity(cls, spec: RingSpec, n: int) -> "AffineElement":
-        lin = tuple(
-            tuple(spec.one() if i == j else spec.zero() for j in range(n))
-            for i in range(n)
-        )
-        return cls(spec, lin, (spec.zero(),) * n)
+        return cls(spec, tuple(range(n)), (spec.one(),) * n, (spec.zero(),) * n)
 
     @property
     def dim(self) -> int:
         return len(self.translation)
+
+    @property
+    def linear(self) -> Matrix:
+        """The linear part as a dense matrix."""
+        z = self.spec.zero()
+        return tuple(
+            tuple(u if j == p else z for j in range(self.dim))
+            for p, u in zip(self.perm, self.units)
+        )
 
     # -- group structure -----------------------------------------------
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.spec != other.spec or self.dim != other.dim:
             raise SpecMismatchError("cannot compose over different rings/dims")
-        n = self.dim
-        z = self.spec.zero()
-        lin = tuple(
-            tuple(
-                sum(
-                    (self.linear[i][k] * other.linear[k][j] for k in range(n)),
-                    z,
-                )
-                for j in range(n)
-            )
-            for i in range(n)
+        perm, units = other.perm, other.units
+        return AffineElement(
+            self.spec,
+            tuple(perm[p] for p in self.perm),
+            tuple(u * units[p] for p, u in zip(self.perm, self.units)),
+            self.apply(other.translation),
         )
-        tr = tuple(
-            sum((self.linear[i][k] * other.translation[k] for k in range(n)), z)
-            + self.translation[i]
-            for i in range(n)
-        )
-        return AffineElement(self.spec, lin, tr)
 
     def inverse(self) -> "AffineElement":
-        """Inverse of an element whose linear part is monomial (one unit
-        per row and column, as in every group here): entry (i, j) moves to
-        (j, i) and is inverted in the ring."""
+        """Entry units[i] at (i, perm[i]) moves to (perm[i], i), inverted."""
         n = self.dim
-        z = self.spec.zero()
-        cols = [[j for j in range(n) if not row[j].is_zero()] for row in self.linear]
-        if sorted(map(tuple, cols)) != [(j,) for j in range(n)]:
-            raise ValueError("only monomial linear parts are invertible here")
-        rows = [[z] * n for _ in range(n)]
-        for i, ((j,), row) in enumerate(zip(cols, self.linear)):
-            rows[j][i] = row[j].inverse()
-        inv = tuple(tuple(r) for r in rows)
-        tr = tuple(
-            -sum((inv[i][k] * self.translation[k] for k in range(n)), z)
-            for i in range(n)
-        )
-        return AffineElement(self.spec, inv, tr)
+        perm = [0] * n
+        units = [self.spec.one()] * n
+        for i, (p, u) in enumerate(zip(self.perm, self.units)):
+            perm[p] = i
+            units[p] = u.inverse()
+        tr = tuple(-(u * self.translation[p]) for p, u in zip(perm, units))
+        return AffineElement(self.spec, tuple(perm), tuple(units), tr)
 
     def __pow__(self, k: int) -> "AffineElement":
         if k < 0:
@@ -105,33 +99,49 @@ class AffineElement:
             k >>= 1
         return out
 
-    def is_identity(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            if not self.translation[i].is_zero():
-                return False
-            for j in range(n):
-                x = self.linear[i][j]
-                if i == j and not x.is_one():
-                    return False
-                if i != j and not x.is_zero():
-                    return False
-        return True
+    def is_translation(self) -> bool:
+        """Whether the linear part is the identity."""
+        return self.perm == tuple(range(self.dim)) and all(
+            u.is_one() for u in self.units
+        )
 
-    def order(self, limit: int = 48) -> Optional[int]:
-        acc = self
-        for k in range(1, limit + 1):
-            if acc.is_identity():
-                return k
-            acc = acc * self
-        return None
+    def is_identity(self) -> bool:
+        return self.is_translation() and all(x.is_zero() for x in self.translation)
+
+    def cycles(self) -> list[tuple[int, RingElement]]:
+        """(length m, unit product c) for each cycle of perm.  The block of
+        such a cycle satisfies g^m = c there, and its characteristic
+        polynomial is X^m - c."""
+        seen = [False] * self.dim
+        out = []
+        for start in range(self.dim):
+            if seen[start]:
+                continue
+            m, c, i = 0, self.spec.one(), start
+            while not seen[i]:
+                seen[i] = True
+                m, c, i = m + 1, c * self.units[i], self.perm[i]
+            out.append((m, c))
+        return out
+
+    def order(self) -> Optional[int]:
+        """The order of (g | t), or None if it is infinite.
+
+        g has order k = lcm of m·ord(c) over its cycles, and
+        (g | t)^k = (1 | N·t) with N = 1 + g + ... + g^(k-1): the element
+        has finite order, then exactly k, iff that is the identity.
+        """
+        k = 1
+        for m, c in self.cycles():
+            e = _root_of_unity_order(c)
+            if e is None:
+                return None
+            k = lcm(k, m * e)
+        return k if (self ** k).is_identity() else None
 
     def apply(self, v: Vector) -> Vector:
-        n = self.dim
-        z = self.spec.zero()
         return tuple(
-            sum((self.linear[i][k] * v[k] for k in range(n)), z) + self.translation[i]
-            for i in range(n)
+            u * v[p] + t for p, u, t in zip(self.perm, self.units, self.translation)
         )
 
     def __str__(self) -> str:
@@ -141,18 +151,26 @@ class AffineElement:
         return f"([{rows}] | [{' '.join(str(x) for x in self.translation)}])"
 
 
+def _root_of_unity_order(c: RingElement) -> Optional[int]:
+    """Multiplicative order of c, or None if c is not a root of unity.
+    The roots of unity in Z + αZ and Z[ζ_d], d in {3, 4, 6}, have order
+    1, 2, 3, 4 or 6."""
+    x = c
+    for e in range(1, 7):
+        if x.is_one():
+            return e
+        x = x * c
+    return None
+
+
 # ---------------------------------------------------------------------
 # generator matrices
 
 MATRIX_FAMILIES = ("A_alpha", "C_alpha", "G311", "G411", "G611")
 
 
-def _diag(spec: RingSpec, entries: Sequence[RingElement]) -> Matrix:
-    n = len(entries)
-    z = spec.zero()
-    return tuple(
-        tuple(entries[i] if i == j else z for j in range(n)) for i in range(n)
-    )
+def _diag(entries: Sequence[RingElement]) -> Monomial:
+    return tuple(range(len(entries))), tuple(entries)
 
 
 def _unit_vector(spec: RingSpec, n: int, i: int, value: RingElement) -> Vector:
@@ -162,110 +180,60 @@ def _unit_vector(spec: RingSpec, n: int, i: int, value: RingElement) -> Vector:
 def build_generator_matrices(
     family: str, n: int
 ) -> tuple[RingSpec, tuple[AffineElement, ...]]:
-    """Affine matrices realizing the reflection presentation generators."""
+    """Affine matrices realizing the reflection presentation generators:
+    the transpositions of the chain, plus the first and last nodes."""
     from .presentations import RankOutOfRange, UnsupportedFamily
-
-    if family == "C_alpha":
-        spec = RingSpec.formal_alpha()
-        one, alpha = spec.one(), spec.gen()
-        if n < 1:
-            raise RankOutOfRange("type C needs n >= 1")
-        if n == 1:
-            neg = _diag(spec, [-one])
-            gens = (
-                AffineElement(spec, neg, (spec.zero(),)),
-                AffineElement(spec, neg, (one,)),
-                AffineElement(spec, neg, (alpha,)),
-            )
-            return spec, gens
-        ident_diag = [one] * n
-        first = _diag(spec, [-one] + ident_diag[1:])
-        last = _diag(spec, ident_diag[:-1] + [-one])
-        gens_list = [AffineElement(spec, first, (spec.zero(),) * n)]
-        for i in range(2, n + 1):
-            gens_list.append(
-                AffineElement(
-                    spec, _signed_transposition(spec, n, i - 2, i - 1), (spec.zero(),) * n
-                )
-            )
-        gens_list.append(AffineElement(spec, last, _unit_vector(spec, n, n - 1, one)))
-        gens_list.append(AffineElement(spec, last, _unit_vector(spec, n, n - 1, alpha)))
-        return spec, tuple(gens_list)
-
-    if family == "A_alpha":
-        spec = RingSpec.formal_alpha()
-        one, alpha = spec.one(), spec.gen()
-        if n < 2:
-            raise RankOutOfRange("type A needs n >= 2")
-        if n == 2:
-            sw = _signed_transposition(spec, 2, 0, 1)
-            gens = (
-                AffineElement(spec, sw, (spec.zero(), spec.zero())),
-                AffineElement(spec, sw, (one, -one)),
-                AffineElement(spec, sw, (alpha, -alpha)),
-            )
-            return spec, gens
-        gens_list = []
-        for i in range(1, n):
-            gens_list.append(
-                AffineElement(
-                    spec, _signed_transposition(spec, n, i - 1, i), (spec.zero(),) * n
-                )
-            )
-        ends = _signed_transposition(spec, n, 0, n - 1)
-        t1 = tuple(
-            one if j == 0 else -one if j == n - 1 else spec.zero() for j in range(n)
-        )
-        ta = tuple(
-            alpha if j == 0 else -alpha if j == n - 1 else spec.zero()
-            for j in range(n)
-        )
-        gens_list.append(AffineElement(spec, ends, t1))
-        gens_list.append(AffineElement(spec, ends, ta))
-        return spec, tuple(gens_list)
-
-    if family in ("G311", "G411", "G611"):
-        d = {"G311": 3, "G411": 4, "G611": 6}[family]
-        spec = RingSpec.cyclotomic(d)
-        one, zeta = spec.one(), spec.gen()
-        # the affine-node linear entry: a root of unity whose order is the
-        # order label of the top node
-        top = zeta if d in (3, 4) else -one
-        if n < 1:
-            raise RankOutOfRange("need n >= 1")
-        if n == 1:
-            gens = (
-                AffineElement(spec, _diag(spec, [zeta]), (spec.zero(),)),
-                AffineElement(spec, _diag(spec, [top]), (one,)),
-            )
-            return spec, gens
-        ident_diag = [one] * n
-        gens_list = [
-            AffineElement(
-                spec, _diag(spec, [zeta] + ident_diag[1:]), (spec.zero(),) * n
-            )
-        ]
-        for i in range(2, n + 1):
-            gens_list.append(
-                AffineElement(
-                    spec, _signed_transposition(spec, n, i - 2, i - 1), (spec.zero(),) * n
-                )
-            )
-        gens_list.append(
-            AffineElement(
-                spec,
-                _diag(spec, ident_diag[:-1] + [top]),
-                _unit_vector(spec, n, n - 1, one),
-            )
-        )
-        return spec, tuple(gens_list)
 
     if family in ("G412", "G421", "G422", "G621", "G631"):
         raise UnsupportedFamily(
             f"{family} is available as presentation data only; no affine "
             "matrix model is provided"
         )
-    raise UnsupportedFamily(family)
+    if family not in MATRIX_FAMILIES:
+        raise UnsupportedFamily(family)
+    if family == "A_alpha" and n < 2:
+        raise RankOutOfRange("type A needs n >= 2")
+    if n < 1:
+        raise RankOutOfRange(
+            "type C needs n >= 1" if family == "C_alpha" else "need n >= 1"
+        )
+    # first and top: the linear entries of the first and the last node;
+    # shifts: the translations of the last node (both ends for type A)
+    if family in ("A_alpha", "C_alpha"):
+        spec = RingSpec.formal_alpha()
+        one = spec.one()
+        first, top, shifts = -one, -one, (one, spec.gen())
+    else:
+        d = {"G311": 3, "G411": 4, "G611": 6}[family]
+        spec = RingSpec.cyclotomic(d)
+        one, zeta = spec.one(), spec.gen()
+        # the affine-node linear entry: a root of unity whose order is the
+        # order label of the top node
+        first, top, shifts = zeta, zeta if d in (3, 4) else -one, (one,)
+    zero = (spec.zero(),) * n
+    chain = [
+        AffineElement(spec, *_signed_transposition(spec, n, i, i + 1), zero)
+        for i in range(n - 1)
+    ]
+    if family == "A_alpha":
+        ends = _signed_transposition(spec, n, 0, n - 1)
+        return spec, tuple(chain) + tuple(
+            AffineElement(
+                spec,
+                *ends,
+                tuple(
+                    b if j == 0 else -b if j == n - 1 else spec.zero()
+                    for j in range(n)
+                ),
+            )
+            for b in shifts
+        )
+    last = _diag([one] * (n - 1) + [top])
+    return spec, tuple(
+        [AffineElement(spec, *_diag([first] + [one] * (n - 1)), zero)]
+        + chain
+        + [AffineElement(spec, *last, _unit_vector(spec, n, n - 1, b)) for b in shifts]
+    )
 
 
 def evaluate_word(word: Word, gens: Sequence[AffineElement]) -> AffineElement:
@@ -333,56 +301,32 @@ def _matrix_json(a: AffineElement) -> dict:
 def linear_minus_identity_rank(a: AffineElement) -> int:
     """Rank of g - 1 for the linear part g.
 
-    Each entry x + y·u becomes its regular-representation block
-    [[x, y·q], [y, x + y·p]] with u² = p·u + q (p = q = 0 in the formal
-    mode), and the rank is half the number of nonzero Smith invariants of
-    that integer matrix.  The embedding doubles the rank: over Q(ζ_d)
-    because it is a field of degree two, and in the formal mode because
-    every linear part is integral, so each block is x times the identity.
+    A cycle block of g with unit product c has characteristic polynomial
+    X^m - c, whose roots are simple, so g - 1 has a one-dimensional kernel
+    on the block when c = 1 and none otherwise.
     """
-    p, q = a.spec.reduction
-    n = a.dim
-    rows: list[list[int]] = []
-    for i in range(n):
-        r1: list[int] = []
-        r2: list[int] = []
-        for j in range(n):
-            x, y = a.linear[i][j].a - (i == j), a.linear[i][j].b
-            r1 += [x, y * q]
-            r2 += [y, x + y * p]
-        rows += [r1, r2]
-    return sum(1 for d in smith_normal_form(rows, 2 * n) if d) // 2
+    return a.dim - sum(1 for _, c in a.cycles() if c.is_one())
 
 
 def classify_element(a: AffineElement) -> dict:
     """Classify an affine element: identity / translation / reflection /
     other, with reflection detail for the sign-type case."""
-    n = a.dim
-    spec = a.spec
     if a.is_identity():
         return {"kind": "identity"}
-    lin = AffineElement(spec, a.linear, (spec.zero(),) * n)
-    if lin.is_identity():
+    if a.is_translation():
         return {"kind": "translation"}
     rank = linear_minus_identity_rank(a)
-    # with k the order of g, (g | t)^k = (1 | N·t) for N = 1 + g + ... +
-    # g^(k-1): the element has finite order, then exactly k, iff N·t = 0
-    k = lin.order()
-    finite = k is not None and (a ** k).is_identity()
-    if rank == 1 and finite:
+    k = a.order()
+    if rank == 1 and k is not None:
         out = {"kind": "reflection", "order": k}
-        diagonal = all(
-            a.linear[i][j].is_zero() for i in range(n) for j in range(n) if i != j
-        )
+        diagonal = a.perm == tuple(range(a.dim))
         out["linear_class"] = "sign" if diagonal else "transposition"
-        if diagonal and spec.mode is RingMode.FORMAL_ALPHA:
-            i = next(
-                i for i in range(n) if not (a.linear[i][i] - spec.one()).is_zero()
-            )
+        if diagonal and a.spec.mode is RingMode.FORMAL_ALPHA:
+            i = next(i for i, u in enumerate(a.units) if not u.is_one())
             b = a.translation[i]
             out["residue"] = (b.a % 2, b.b % 2)
         return out
-    return {"kind": "other", "finite_order": finite, "moved_rank": rank}
+    return {"kind": "other", "finite_order": k is not None, "moved_rank": rank}
 
 
 def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[dict]:
@@ -449,9 +393,9 @@ def _reflection_candidates(
     out: list[AffineElement] = []
     if family == "C_alpha":
         for i in range(n):
-            lin = _diag(spec, [-one if j == i else one for j in range(n)])
+            lin = _diag([-one if j == i else one for j in range(n)])
             for b in coeffs:
-                out.append(AffineElement(spec, lin, _unit_vector(spec, n, i, b)))
+                out.append(AffineElement(spec, *lin, _unit_vector(spec, n, i, b)))
         for i in range(n):
             for j in range(i + 1, n):
                 for eps in (1, -1):
@@ -462,7 +406,7 @@ def _reflection_candidates(
                             else spec.zero()
                             for k in range(n)
                         )
-                        cand = AffineElement(spec, lin, t)
+                        cand = AffineElement(spec, *lin, t)
                         if classify_element(cand)["kind"] == "reflection":
                             out.append(cand)
     elif family == "A_alpha":
@@ -474,33 +418,17 @@ def _reflection_candidates(
                         c if k == i else -c if k == j else spec.zero()
                         for k in range(n)
                     )
-                    out.append(AffineElement(spec, lin, t))
+                    out.append(AffineElement(spec, *lin, t))
     else:
         raise ValueError(f"enumeration is implemented for the formal families, not {family}")
-    # de-duplicate
-    seen = set()
-    uniq = []
-    for x in out:
-        if x not in seen:
-            seen.add(x)
-            uniq.append(x)
-    return uniq
+    return list(dict.fromkeys(out))  # de-duplicated, first occurrence kept
 
 
 def _signed_transposition(
     spec: RingSpec, n: int, i: int, j: int, eps: int = 1
-) -> Matrix:
+) -> Monomial:
     """Swap coordinates i and j with sign eps on the off-diagonal pair."""
-    z, one = spec.zero(), spec.one()
-    s = one if eps == 1 else -one
-    rows = []
-    for r in range(n):
-        row = [z] * n
-        if r == i:
-            row[j] = s
-        elif r == j:
-            row[i] = s
-        else:
-            row[r] = one
-        rows.append(tuple(row))
-    return tuple(rows)
+    perm, units = list(range(n)), [spec.one()] * n
+    perm[i], perm[j] = j, i
+    units[i] = units[j] = spec.one() if eps == 1 else -spec.one()
+    return tuple(perm), tuple(units)

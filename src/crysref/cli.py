@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -48,6 +47,7 @@ from .prover import (
     ProofResult,
     ProofStatus,
     check_certificate,
+    env_budget_scale,
     prove_trivial,
     verify_isomorphism_pair,
 )
@@ -68,17 +68,6 @@ def _budget_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the prover depth budget")
     parser.add_argument("--max-len", type=int, default=None,
                         help="override the prover word-length budget")
-
-
-def _check_budget_scale() -> None:
-    text = os.environ.get("CRYSREF_BUDGET_SCALE", "")
-    try:
-        scale = float(text or "1")
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
-        raise _UsageError("CRYSREF_BUDGET_SCALE must be a finite number > 0, "
-                          f"got {text!r}")
 
 
 def _build(family: str, n: int):
@@ -367,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write presentation text or DOT")
     fam_rank(p)
     p.add_argument("--dot", action="store_true")
-    p.add_argument("--text", action="store_true")
     p.set_defaults(func=cmd_export)
 
     return parser
@@ -395,7 +383,11 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     start = time.time()
     try:
-        _check_budget_scale()
+        env_budget_scale()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    try:
         report, code = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ abelianized invariant already rules the word out.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -26,6 +27,24 @@ class ProofStatus(Enum):
     UNKNOWN = "unknown"
 
 
+def env_budget_scale() -> float:
+    """The factor in ``CRYSREF_BUDGET_SCALE`` (1 when unset or empty).
+
+    Raises ValueError, naming the variable, unless the value is a finite
+    number > 0.
+    """
+    text = os.environ.get("CRYSREF_BUDGET_SCALE", "")
+    try:
+        scale = float(text or "1")
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(
+            f"CRYSREF_BUDGET_SCALE must be a finite number > 0, got {text!r}"
+        )
+    return scale
+
+
 @dataclass(frozen=True)
 class Budget:
     max_word_length: int
@@ -35,7 +54,7 @@ class Budget:
     @classmethod
     def for_word(cls, w: Word, scale: float | None = None) -> "Budget":
         if scale is None:
-            scale = float(os.environ.get("CRYSREF_BUDGET_SCALE", "1") or "1")
+            scale = env_budget_scale()
         base = 4 * len(w) + 32
         return cls(
             max_word_length=max(8, int(base * scale)),

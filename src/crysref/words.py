@@ -43,11 +43,6 @@ class Word:
     def gen(cls, g: int, e: int = 1) -> "Word":
         return cls([(g, e)])
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "Word":
-        """Positive word from indices; a negative index -k-1 means gen k inverted."""
-        return cls([(i, 1) if i >= 0 else (-i - 1, -1) for i in indices])
-
     # -- group operations ----------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":

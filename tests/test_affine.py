@@ -14,7 +14,7 @@ from crysref.affine import (
     verify_presentation,
 )
 from crysref.presentations import build_group_presentation
-from crysref.words import Word
+from crysref.words import Word, parse_word
 
 ALL_CASES = (
     [("C_alpha", n) for n in (1, 2, 3, 4)]
@@ -101,6 +101,53 @@ def test_rank_matches_sympy(family, n):
     inner()
 
 
+def _sympy_affine(a, w):
+    """The (n+1)×(n+1) homogeneous matrix [[g, t], [0, 1]] of (g | t)."""
+    n = a.dim
+    rows = [
+        [x.a + x.b * w for x in row] + [t.a + t.b * w]
+        for row, t in zip(a.linear, a.translation)
+    ]
+    return sympy.Matrix(rows + [[0] * n + [1]])
+
+
+def _is_zero(m):
+    return m.applyfunc(lambda x: sympy.expand(sympy.radsimp(x))).is_zero_matrix
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in MATRIX_FAMILIES for n in (1, 2, 3) if (f, n) != ("A_alpha", 1)],
+    ids=str,
+)
+def test_kernel_matches_dense_sympy(family, n):
+    # the dense oracle reads only .linear and .translation: product,
+    # inverse and action are sympy's, on homogeneous matrices
+    spec, gens = build_generator_matrices(family, n)
+    w = SYMPY_GEN[spec.symbol]
+    letters = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(gens) - 1),
+                  st.sampled_from([-1, 1])),
+        max_size=8,
+    )
+    coords = st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(letters, letters, coords)
+    def inner(ls1, ls2, xs):
+        a, b = evaluate_word(Word(ls1), gens), evaluate_word(Word(ls2), gens)
+        ha, hb = _sympy_affine(a, w), _sympy_affine(b, w)
+        assert _is_zero(_sympy_affine(a * b, w) - ha * hb)
+        assert _is_zero(_sympy_affine(a.inverse(), w) - ha.inv())
+        v = tuple(spec.el(x, y) for x, y in xs)
+        image = sympy.Matrix([x.a + x.b * w for x in a.apply(v)] + [1])
+        assert _is_zero(image - ha * sympy.Matrix([x.a + x.b * w for x in v] + [1]))
+
+    inner()
+
+
 def test_inverse_and_identity():
     _, gens = build_generator_matrices("G611", 2)
     for g in gens:
@@ -113,6 +160,19 @@ def test_translation_elements_have_infinite_order():
     # s3 * s4 is a pure translation by (alpha - 1) e_n: infinite order
     t = gens[2] * gens[3]
     assert t.order() is None
+
+
+def test_order_beyond_48_is_found():
+    # a 3-, a 4- and a 5-cycle: order lcm(3, 4, 5) = 60
+    pres = build_group_presentation("A_alpha", 12)
+    _, gens = build_generator_matrices("A_alpha", 12)
+    g = evaluate_word(
+        parse_word("s1 s2 s4 s5 s6 s8 s9 s10 s11", pres.generator_names), gens
+    )
+    assert g.order() == 60
+    assert (g ** 60).is_identity() and not (g ** 30).is_identity()
+    info = classify_element(g)
+    assert info == {"kind": "other", "finite_order": True, "moved_rank": 9}
 
 
 def test_classify_reflection():

@@ -178,7 +178,7 @@ def test_prove_unknown_exits_two(capsys):
 def test_export_dot_and_text(capsys):
     code, out, _ = run(capsys, "export", "A_alpha", "3", "--dot")
     assert code == 0 and out.startswith("graph")
-    code2, out2, _ = run(capsys, "export", "A_alpha", "3", "--text")
+    code2, out2, _ = run(capsys, "export", "A_alpha", "3")
     assert code2 == 0 and out2.startswith("gens:")
 
 

@@ -63,6 +63,13 @@ def test_unknown_under_tiny_budget():
     assert res.status is ProofStatus.UNKNOWN
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+def test_bad_budget_scale_raises_value_error(monkeypatch, value):
+    monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)
+    with pytest.raises(ValueError, match="^CRYSREF_BUDGET_SCALE must be"):
+        Budget.for_word(parse_word("a a", NAMES))
+
+
 def test_certificate_text_round_trip():
     w = parse_word("a b a b a b a a", NAMES)
     res = prove_trivial(w, REL)
