@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
+from .presentations import RankOutOfRange, UnsupportedFamily
 from .ring import RingElement, RingMode, RingSpec, SpecMismatchError
 from .words import Word
 
@@ -182,8 +183,6 @@ def build_generator_matrices(
 ) -> tuple[RingSpec, tuple[AffineElement, ...]]:
     """Affine matrices realizing the reflection presentation generators:
     the transpositions of the chain, plus the first and last nodes."""
-    from .presentations import RankOutOfRange, UnsupportedFamily
-
     if family in ("G412", "G421", "G422", "G621", "G631"):
         raise UnsupportedFamily(
             f"{family} is available as presentation data only; no affine "
@@ -337,6 +336,8 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
     ``bound``; the merging closure works on a grid extended by 2 so that
     conjugation paths may pass slightly outside the candidate box.
     """
+    if family not in ("A_alpha", "C_alpha"):
+        raise UnsupportedFamily(f"no class enumeration for {family}; choose A_alpha or C_alpha")
     spec, gens = build_generator_matrices(family, n)
     candidates = _reflection_candidates(family, spec, n, bound)
     extended = set(_reflection_candidates(family, spec, n, bound + 2))
@@ -419,8 +420,6 @@ def _reflection_candidates(
                         for k in range(n)
                     )
                     out.append(AffineElement(spec, *lin, t))
-    else:
-        raise ValueError(f"enumeration is implemented for the formal families, not {family}")
     return list(dict.fromkeys(out))  # de-duplicated, first occurrence kept
 
 

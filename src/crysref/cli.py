@@ -186,10 +186,6 @@ def cmd_abelianize(args) -> tuple[dict, int]:
 
 
 def cmd_classes(args) -> tuple[dict, int]:
-    if args.family not in MATRIX_FAMILIES:
-        raise _UsageError(
-            f"class enumeration needs matrices; choose from "
-            + ", ".join(MATRIX_FAMILIES))
     if args.bound < 0:
         raise _UsageError(f"--bound must be >= 0, got {args.bound}")
     try:
@@ -201,6 +197,7 @@ def cmd_classes(args) -> tuple[dict, int]:
 
 
 def cmd_hecke(args) -> tuple[dict, int]:
+    given = [a for a in (args.type, args.hecke_n) if a is not None]
     if args.check == "gdaha-check":
         if args.type not in _GDAHA_FAMILY:
             raise _UsageError("GDAHA type must be one of "
@@ -215,19 +212,20 @@ def cmd_hecke(args) -> tuple[dict, int]:
         rep = {"family": family, "legs": list(GDAHA_LEGS[args.type]), **rep}
         return rep, 0 if rep["pass"] else 1
     if args.check == "rank-one":
+        if given:
+            raise _UsageError("rank-one takes no arguments")
         rep = rank_one_specialization_check()
         return rep, 0 if rep["pass"] else 1
-    # tripledot: the rank may land in the optional `type` slot
-    if args.hecke_n is None and args.type is not None:
-        try:
-            args.hecke_n = int(args.type)
-        except ValueError:
-            raise _UsageError(f"bad rank {args.type!r}") from None
-    if args.hecke_n is None:
-        raise _UsageError("tripledot needs a rank argument")
-    if args.hecke_n < 3:
+    # tripledot: the rank lands in the optional `type` slot
+    if len(given) != 1:
+        raise _UsageError("tripledot needs exactly one rank argument")
+    try:
+        n = int(given[0])
+    except ValueError:
+        raise _UsageError(f"bad rank {given[0]!r}") from None
+    if n < 3:
         raise _UsageError("the triple-dot construction needs n >= 3")
-    rep = triple_dot_report(args.hecke_n)
+    rep = triple_dot_report(n)
     statuses = [r.status for r in rep["results"].values()]
     report = {
         "word": rep["word"],
@@ -238,6 +236,10 @@ def cmd_hecke(args) -> tuple[dict, int]:
 
 
 def cmd_prove(args) -> tuple[dict, int]:
+    for flag, value in (("--max-len", args.max_len),
+                        ("--max-depth", args.max_depth)):
+        if value is not None and value < 1:
+            raise _UsageError(f"{flag} must be >= 1, got {value}")
     pres = _build(args.family, args.n)
     target = artinize(pres) if args.artin else pres
     try:
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    start = time.time()
+    start = time.perf_counter()
     try:
         env_budget_scale()
     except ValueError as exc:
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     report = _jsonable({"schema": 1, "command": args.command, **report,
-                        "wall_time": round(time.time() - start, 3),
+                        "wall_time": round(time.perf_counter() - start, 3),
                         "exit_code": code})
     try:
         if args.json:

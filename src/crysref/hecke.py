@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from .isomorphisms import sphere_maps
 from .presentations import (
     Presentation,
     RankOutOfRange,
@@ -21,7 +22,6 @@ from .presentations import (
     punctured_sphere_braid,
 )
 from .prover import (
-    Budget,
     GeneratorMap,
     ProofStatus,
     prove_trivial,
@@ -447,20 +447,19 @@ def verify_specialization(
     target: HeckePresentation,
     gen_map: GeneratorMap,
     reverse_map: Optional[GeneratorMap] = None,
-    budget_scale: float | None = None,
 ) -> dict:
     """The three-level correspondence check: braid relators (prover),
     char polys (Laurent identities), and S0-vs-U1 closedness matching."""
     report: dict = {"checks": {}}
     # (1) braid level
     fwd = verify_homomorphism(
-        gen_map, hp.braid_part.relators, target.braid_part.relators, budget_scale
+        gen_map, hp.braid_part.relators, target.braid_part.relators
     )
     braid_ok = all(r.status is ProofStatus.PROVED for r in fwd)
     braid_results = {"fwd": fwd}
     if reverse_map is not None:
         bwd = verify_homomorphism(
-            reverse_map, target.braid_part.relators, hp.braid_part.relators, budget_scale
+            reverse_map, target.braid_part.relators, hp.braid_part.relators
         )
         braid_ok = braid_ok and all(r.status is ProofStatus.PROVED for r in bwd)
         braid_results["bwd"] = bwd
@@ -479,9 +478,7 @@ def verify_specialization(
     # (3) S0 word matches U1^-1 modulo the target relations
     if hp.extra_word is not None:
         image = gen_map.apply(hp.extra_word) * Word.gen(0)
-        res = prove_trivial(
-            image, target.braid_part.relators, Budget.for_word(image, budget_scale)
-        )
+        res = prove_trivial(image, target.braid_part.relators)
         report["checks"]["extra_generator"] = {
             "pass": res.status is ProofStatus.PROVED,
             "result": res,
@@ -494,46 +491,27 @@ def gdaha_family_data(family: str, n: int):
     """Wire a generic Hecke algebra to its GDAHA: presentations, the
     parameter map, and the mutually inverse braid-level generator maps."""
     diagram = {"C_alpha": "D4", "G311": "E6", "G411": "E7", "G611": "E8"}[family]
+    legs = GDAHA_LEGS[diagram]
     hp = build_generic_hecke(family, n)
-    target = build_gdaha(GDAHA_LEGS[diagram], n)
+    target = build_gdaha(legs, n)
     pm = gdaha_parameter_map(hp, target, family, n)
     hnames = hp.braid_part.generator_names
     tnames = target.braid_part.generator_names
-    k = len(hnames)
-    m = len(GDAHA_LEGS[diagram])
     if n == 1:
+        k = len(hnames)
         fwd_imgs = tuple(Word.gen(i + 1) for i in range(k))
         closed = Word([(i, 1) for i in range(k)])
         bwd_imgs = (closed.inverse(),) + tuple(Word.gen(i) for i in range(k))
     else:
-        t_prod = Word([(m + i, 1) for i in range(n - 1)])
-        fwd_list = [Word.gen(1)]  # S1 -> U2
-        fwd_list += [Word.gen(m + i - 1) for i in range(1, n)]  # S(i+1) -> T_i
-        fwd_list.append(t_prod.inverse() * Word.gen(2) * t_prod)  # S(n+1) -> 𝐓⁻¹U3𝐓
-        if family == "C_alpha":
-            fwd_list.append(t_prod.inverse() * Word.gen(3) * t_prod)
-        fwd_imgs = tuple(fwd_list)
-        s_mid = Word([(i, 1) for i in range(1, n)])  # S2..Sn
-        full = Word(
-            [(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 1, 0, -1)]
-        )
-        bwd_list = [
-            full.inverse(),                              # U1
-            Word.gen(0),                                 # U2
-            s_mid * Word.gen(n) * s_mid.inverse(),       # U3
-        ]
-        if family == "C_alpha":
-            bwd_list.append(s_mid * Word.gen(n + 1) * s_mid.inverse())  # U4
-        bwd_list += [Word.gen(i + 1) for i in range(n - 1)]             # T_i
-        bwd_imgs = tuple(bwd_list)
+        bwd_imgs, fwd_imgs = sphere_maps(len(legs), n)
     gen_map = GeneratorMap(hnames, tnames, fwd_imgs)
     reverse_map = GeneratorMap(tnames, hnames, bwd_imgs)
     return hp, target, pm, gen_map, reverse_map
 
 
-def gdaha_check(family: str, n: int, budget_scale: float | None = None) -> dict:
+def gdaha_check(family: str, n: int) -> dict:
     hp, target, pm, gen_map, reverse_map = gdaha_family_data(family, n)
-    return verify_specialization(hp, pm, target, gen_map, reverse_map, budget_scale)
+    return verify_specialization(hp, pm, target, gen_map, reverse_map)
 
 
 # ---------------------------------------------------------------------
@@ -603,7 +581,7 @@ def triple_dot_generator(n: int) -> Word:
     return inner.inverse()
 
 
-def triple_dot_report(n: int, budget_scale: float | None = None) -> dict:
+def triple_dot_report(n: int) -> dict:
     """Prove the displayed relations for the triple-dot generator: it
     braids with s1 and s_{n-1} and commutes with the interior chain."""
     artin = artinize(build_group_presentation("A_alpha", n))
@@ -620,10 +598,7 @@ def triple_dot_report(n: int, budget_scale: float | None = None) -> dict:
         relations.append(
             (f"commute_with_s{j + 1}", s[j] * x * s[j].inverse() * x.inverse())
         )
-    results = {}
-    for name, w in relations:
-        res = prove_trivial(w, artin.relators, Budget.for_word(w, budget_scale))
-        results[name] = res
+    results = {name: prove_trivial(w, artin.relators) for name, w in relations}
     return {
         "word": x.text(artin.generator_names),
         "pass": all(r.status is ProofStatus.PROVED for r in results.values()),

@@ -5,9 +5,11 @@ relator indices in the *target* presentation.  ``resolve_hint`` turns a
 script into a strict replayable certificate by picking the orientation,
 cyclic shift and insertion position with the best cancellation at each
 step, so a script records exactly *which* relations a derivation uses and
-in what order.  Insertion positions are the seam-cancelling ones (where
-the relator's first or last letter cancels against the word) plus the two
-ends of the word.
+in what order.  It enumerates the moves through the search's own child
+routine: insertion positions are the seam-cancelling ones (where the
+relator's first or last letter cancels against the word) plus the two
+ends of the word, and the cancel steps are rebuilt along the winning
+chain only.
 
 Index conventions for the type-C rank-3 pair:
 

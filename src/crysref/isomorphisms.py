@@ -54,33 +54,37 @@ def braid_isomorphism(family: str, n: int) -> BraidIsomorphism:
         bwd = GeneratorMap(artin.generator_names, braid.generator_names, idmap)
         return BraidIsomorphism(braid, artin, fwd, bwd)
     if family == "C_alpha":
-        return _c_isomorphism(braid, artin, n)
+        to_artin, to_sphere = sphere_maps(4, n)
+        fwd = GeneratorMap(braid.generator_names, artin.generator_names, to_artin)
+        bwd = GeneratorMap(artin.generator_names, braid.generator_names, to_sphere)
+        return BraidIsomorphism(braid, artin, fwd, bwd)
     return _a_isomorphism(braid, artin, n)
 
 
-def _c_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIsomorphism:
-    # Artin generators s1..s(n+2) are 0-based 0..n+1
-    s_mid = _pos(*range(1, n))                     # s2 ... sn
-    full = _pos(*(list(range(n + 2)) + list(range(n - 1, 0, -1))))
-    fwd_images = (
-        full.inverse(),                            # u1
-        Word.gen(0),                               # u2
-        s_mid * Word.gen(n) * s_mid.inverse(),     # u3
-        s_mid * Word.gen(n + 1) * s_mid.inverse(), # u4
-    ) + tuple(Word.gen(i + 1) for i in range(n - 1))
-    fwd = GeneratorMap(braid.generator_names, artin.generator_names, fwd_images)
-    # braid generators: u1..u4 = 0..3, t1..t(n-1) = 4..n+2
-    t_prod = _pos(*range(4, n + 3))                # t1 ... t(n-1)
-    bwd_images = (
-        (Word.gen(1),)
-        + tuple(Word.gen(4 + i) for i in range(n - 1))
-        + (
-            t_prod.inverse() * Word.gen(2) * t_prod,
-            t_prod.inverse() * Word.gen(3) * t_prod,
-        )
+def sphere_maps(legs: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """Mutually inverse generator images between the braid group of n >= 2
+    points on the sphere with ``legs`` punctures (u1..u(legs), t1..t(n-1))
+    and the Artin group on s1..s(n+legs-2).  ``legs`` = 4 is type C (D4),
+    ``legs`` = 3 the G(d,1,n) towers (E6/E7/E8).  Returns (to_artin,
+    to_sphere): the images of the sphere generators, then of the Artin
+    generators."""
+    k = n + legs - 2
+    # Artin generators s1..sk are 0-based 0..k-1; sphere generators
+    # u1..u(legs) are 0..legs-1 and t1..t(n-1) are legs..legs+n-2
+    s_mid = _pos(*range(1, n))                       # s2 ... sn
+    full = _pos(*range(k), *range(n - 1, 0, -1))
+    to_artin = (
+        (full.inverse(), Word.gen(0))                # u1, u2
+        + tuple(s_mid * Word.gen(j) * s_mid.inverse() for j in range(n, k))
+        + tuple(Word.gen(i) for i in range(1, n))    # t_i -> s(i+1)
     )
-    bwd = GeneratorMap(artin.generator_names, braid.generator_names, bwd_images)
-    return BraidIsomorphism(braid, artin, fwd, bwd)
+    t_prod = _pos(*range(legs, legs + n - 1))        # t1 ... t(n-1)
+    to_sphere = (
+        (Word.gen(1),)                               # s1 -> u2
+        + tuple(Word.gen(legs + i) for i in range(n - 1))      # s2 ... sn
+        + tuple(t_prod.inverse() * Word.gen(j) * t_prod for j in range(2, legs))
+    )
+    return to_artin, to_sphere
 
 
 def _a_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIsomorphism:

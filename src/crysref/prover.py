@@ -10,6 +10,7 @@ abelianized invariant already rules the word out.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 import re
@@ -212,6 +213,31 @@ def _seam_positions(seq: tuple[Letter, ...], chunk: tuple[Letter, ...]) -> list[
     return sorted(positions)
 
 
+def _chunks(
+    variants: Sequence[Word], indices: Sequence[int]
+) -> list[tuple[int, int, tuple[Letter, ...]]]:
+    """(v, s, chunk) for every distinct cyclic shift of the variants at
+    the given indices, in index then shift order, first occurrence kept."""
+    out: dict[tuple[Letter, ...], tuple[int, int, tuple[Letter, ...]]] = {}
+    for v in indices:
+        for s in range(len(variants[v].letters)):
+            chunk = _shifted(variants[v], s)
+            out.setdefault(chunk, (v, s, chunk))
+    return list(out.values())
+
+
+def _children(
+    seq: tuple[Letter, ...],
+    chunks: Sequence[tuple[int, int, tuple[Letter, ...]]],
+):
+    """Every one-insert move from seq: (v, s, pos, new) with new the freely
+    reduced result of inserting chunk (v, s) at pos, in chunk order and
+    ascending pos.  Search and hint resolution both enumerate this."""
+    for v, s, chunk in chunks:
+        for pos in _seam_positions(seq, chunk):
+            yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
+
+
 def abelian_obstruction(word: Word, relators: Sequence[Word]) -> bool:
     """True when the exponent-sum vector is provably outside the relator
     lattice (a sound non-triviality witness)."""
@@ -248,78 +274,76 @@ def prove_trivial(
     if budget is None:
         budget = Budget.for_word(word)
     variants = symmetrized_relators(relators)
-    shifted_variants: list[tuple[int, int, tuple[Letter, ...]]] = []
-    seen_chunks: set[tuple[Letter, ...]] = set()
-    for v, var in enumerate(variants):
-        for s in range(len(var.letters)):
-            chunk = _shifted(var, s)
-            if chunk not in seen_chunks:
-                seen_chunks.add(chunk)
-                shifted_variants.append((v, s, chunk))
+    chunks = _chunks(variants, range(len(variants)))
     dive_budget = Budget(
         budget.max_word_length, budget.max_depth, max(1000, budget.max_states // 4)
     )
-    res = _search(word, shifted_variants, dive_budget, lifo=True)
+    res = _search(word, variants, chunks, dive_budget, lifo=True)
     if res.status is ProofStatus.PROVED:
         return res
-    return _search(word, shifted_variants, budget, lifo=False)
+    return _search(word, variants, chunks, budget, lifo=False)
 
 
 def _search(
     word: Word,
-    shifted_variants: Sequence[tuple[int, int, tuple[Letter, ...]]],
+    variants: Sequence[Word],
+    chunks: Sequence[tuple[int, int, tuple[Letter, ...]]],
     budget: Budget,
     lifo: bool,
 ) -> ProofResult:
+    """Best-first search over the ``_children`` moves, shortest word first.
+
+    Each state keeps one parent record ``(parent, v, s, pos, depth)``;
+    the cancel steps are rebuilt along the final chain only."""
     start = word.letters
-    # heap entries: (score, tiebreak, seq); parent map for certificates
+    # heap entries: (score, tiebreak, seq)
     counter = 0
     heap: list[tuple[int, int, tuple[Letter, ...]]] = [(len(start), 0, start)]
-    came_from: dict[tuple[Letter, ...], tuple[tuple[Letter, ...], list[Step]]] = {
-        start: (None, [])  # type: ignore[dict-item]
-    }
-    depth = {start: 0}
+    came_from: dict[tuple[Letter, ...], tuple] = {start: (None, 0, 0, 0, 0)}
     explored = 0
     while heap:
         _, _, seq = heapq.heappop(heap)
         explored += 1
         if explored > budget.max_states or len(came_from) > 40 * budget.max_states:
             break
-        if not seq:
-            return ProofResult(ProofStatus.PROVED, _build_certificate(came_from, seq))
-        if depth[seq] >= budget.max_depth:
+        depth = came_from[seq][4] + 1
+        if depth > budget.max_depth:
             continue
-        for v, s, chunk in shifted_variants:
-            for pos in _seam_positions(seq, chunk):
-                new, cancels = _insert_and_reduce(seq, chunk, pos)
-                if len(new) > budget.max_word_length:
-                    continue
-                if new in came_from:
-                    continue
-                came_from[new] = (seq, [("insert", v, s, pos)] + cancels)
-                depth[new] = depth[seq] + 1
-                counter += 1
-                if not new:
-                    return ProofResult(
-                        ProofStatus.PROVED, _build_certificate(came_from, new)
-                    )
-                # LIFO tie-break commits to a promising line; FIFO sweeps
-                # the length plateau breadth-first
-                tie = -counter if lifo else counter
-                heapq.heappush(heap, (len(new), tie, new))
+        for v, s, pos, new in _children(seq, chunks):
+            if len(new) > budget.max_word_length or new in came_from:
+                continue
+            came_from[new] = (seq, v, s, pos, depth)
+            if not new:
+                return ProofResult(
+                    ProofStatus.PROVED,
+                    _build_certificate(itertools.repeat(came_from), new, variants),
+                )
+            counter += 1
+            # LIFO tie-break commits to a promising line; FIFO sweeps
+            # the length plateau breadth-first
+            tie = -counter if lifo else counter
+            heapq.heappush(heap, (len(new), tie, new))
     return ProofResult(ProofStatus.UNKNOWN, reason="search budget exhausted")
 
 
-def _build_certificate(came_from, final) -> Certificate:
-    chain: list[Step] = []
-    node = final
-    while True:
-        prev, steps = came_from[node]
-        if prev is None:
+def _build_certificate(records, final, variants) -> Certificate:
+    """The certificate of the chain ending at final.  ``records`` yields,
+    last link first, the map that holds each link's ``(parent, v, s, pos,
+    ...)`` record; a ``None`` parent ends the chain early.  The cancel
+    steps are recomputed along this one chain, so states need not keep
+    them."""
+    links = []
+    for record in records:
+        parent, v, s, pos = record[final][:4]
+        if parent is None:
             break
-        chain = steps + chain
-        node = prev
-    return Certificate(tuple(chain))
+        links.append((parent, v, s, pos))
+        final = parent
+    steps: list[Step] = []
+    for parent, v, s, pos in reversed(links):
+        steps.append(("insert", v, s, pos))
+        steps += _insert_and_reduce(parent, _shifted(variants[v], s), pos)[1]
+    return Certificate(tuple(steps))
 
 
 # ---------------------------------------------------------------------
@@ -330,44 +354,35 @@ def resolve_hint(
     word: Word, relators: Sequence[Word], hint: Sequence[int]
 ) -> ProofResult:
     """Resolve a loose hint — an ordered sequence of relator indices —
-    into a strict certificate.  At each step every orientation and shift
-    of the hinted relator is tried at the seam-cancelling positions plus
-    the two ends (the same positions as the search), and a small beam of
-    the shortest results is kept (deterministic tie-break: length, then
-    variant/shift/position), so a hint only needs to name the relations a
-    derivation uses, in order."""
+    into a strict certificate.  At each step the search's ``_children``
+    moves are tried for both orientations and every distinct shift of the
+    hinted relator, and a small beam of the shortest results is kept
+    (deterministic tie-break: length, then variant/shift/position), so a
+    hint only needs to name the relations a derivation uses, in order."""
     variants = symmetrized_relators(relators)
     beam_width = 8
-    # beam entries: (tie_key, seq, steps-so-far)
-    beam: list[tuple[tuple, tuple[Letter, ...], list[Step]]] = [
-        ((), word.letters, [])
-    ]
+    beam = [word.letters]
+    # per hint step, for each beam word: (parent, v, s, pos, tie_key)
+    history: list[dict] = []
     for r in hint:
         if not 0 <= r < len(relators):
             return ProofResult(ProofStatus.UNKNOWN, reason=f"bad hint index {r}")
-        candidates: dict[tuple[Letter, ...], tuple[tuple, list[Step]]] = {}
-        for _, seq, steps in beam:
-            for v in (2 * r, 2 * r + 1):
-                var = variants[v]
-                for s in range(len(var.letters)):
-                    chunk = _shifted(var, s)
-                    for pos in _seam_positions(seq, chunk):
-                        new, cancels = _insert_and_reduce(seq, chunk, pos)
-                        key = (len(new), v, s, pos)
-                        prev = candidates.get(new)
-                        if prev is None or key < prev[0]:
-                            candidates[new] = (
-                                key, steps + [("insert", v, s, pos)] + cancels
-                            )
+        chunks = _chunks(variants, (2 * r, 2 * r + 1))
+        candidates: dict[tuple[Letter, ...], tuple] = {}
+        for seq in beam:
+            for v, s, pos, new in _children(seq, chunks):
+                key = (len(new), v, s, pos)
+                prev = candidates.get(new)
+                if prev is None or key < prev[4]:
+                    candidates[new] = (seq, v, s, pos, key)
         if not candidates:
             return ProofResult(ProofStatus.UNKNOWN, reason="empty relator in hint")
-        ranked = sorted(
-            ((key, new, steps) for new, (key, steps) in candidates.items()),
+        beam = sorted(candidates, key=lambda w: (candidates[w][4], w))[:beam_width]
+        history.append({w: candidates[w] for w in beam})
+    if () in beam:
+        return ProofResult(
+            ProofStatus.PROVED, _build_certificate(reversed(history), (), variants)
         )
-        beam = ranked[:beam_width]
-    for _, seq, steps in beam:
-        if not seq:
-            return ProofResult(ProofStatus.PROVED, Certificate(tuple(steps)))
     return ProofResult(
         ProofStatus.UNKNOWN, reason="hint did not reach the empty word"
     )
@@ -410,27 +425,34 @@ def compose_maps(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
     )
 
 
+def _prove(
+    words: Sequence[Word],
+    relators: Sequence[Word],
+    hints: Optional[Sequence[Optional[Sequence[int]]]],
+) -> list[ProofResult]:
+    """One result per word: the certificate of its hint (``hints[i]``)
+    when that resolves, else a search."""
+    hints = hints or ()
+    out = []
+    for i, w in enumerate(words):
+        hint = hints[i] if i < len(hints) else None
+        res = None if hint is None else resolve_hint(w, relators, hint)
+        if res is None or res.status is not ProofStatus.PROVED:
+            res = prove_trivial(w, relators)
+        out.append(res)
+    return out
+
+
 def verify_homomorphism(
     fmap: GeneratorMap,
     source_relators: Sequence[Word],
     target_relators: Sequence[Word],
-    budget_scale: float | None = None,
     hints: Optional[Sequence[Optional[Sequence[int]]]] = None,
 ) -> list[ProofResult]:
     """Prove each source relator dies in the target presentation.  One
     result per relator, in order."""
-    out = []
-    for i, rel in enumerate(source_relators):
-        image = fmap.apply(rel)
-        hint = hints[i] if hints is not None and i < len(hints) else None
-        if hint is not None:
-            res = resolve_hint(image, target_relators, hint)
-            if res.status is ProofStatus.PROVED:
-                out.append(res)
-                continue
-        budget = Budget.for_word(image, budget_scale)
-        out.append(prove_trivial(image, target_relators, budget))
-    return out
+    images = [fmap.apply(rel) for rel in source_relators]
+    return _prove(images, target_relators, hints)
 
 
 def verify_isomorphism_pair(
@@ -438,7 +460,6 @@ def verify_isomorphism_pair(
     bwd: GeneratorMap,
     source_relators: Sequence[Word],
     target_relators: Sequence[Word],
-    budget_scale: float | None = None,
     hints: Optional[dict] = None,
 ) -> dict:
     """Check fwd/bwd are mutually inverse homomorphisms.
@@ -449,12 +470,10 @@ def verify_isomorphism_pair(
     hints = hints or {}
     rep = {
         "fwd_relators": verify_homomorphism(
-            fwd, source_relators, target_relators, budget_scale,
-            hints.get("fwd_relators"),
+            fwd, source_relators, target_relators, hints.get("fwd_relators")
         ),
         "bwd_relators": verify_homomorphism(
-            bwd, target_relators, source_relators, budget_scale,
-            hints.get("bwd_relators"),
+            bwd, target_relators, source_relators, hints.get("bwd_relators")
         ),
     }
     round_trips = {
@@ -462,18 +481,10 @@ def verify_isomorphism_pair(
         "fwd_bwd": (compose_maps(fwd, bwd), target_relators),
     }
     for key, (comp, rels) in round_trips.items():
-        results = []
-        key_hints = hints.get(key) or []
-        for g in range(len(comp.source_names)):
-            w = comp.images[g] * Word.gen(g, -1)
-            hint = key_hints[g] if g < len(key_hints) else None
-            if hint is not None:
-                res = resolve_hint(w, rels, hint)
-                if res.status is ProofStatus.PROVED:
-                    results.append(res)
-                    continue
-            results.append(prove_trivial(w, rels, Budget.for_word(w, budget_scale)))
-        rep[key] = results
+        words = [
+            comp.images[g] * Word.gen(g, -1) for g in range(len(comp.source_names))
+        ]
+        rep[key] = _prove(words, rels, hints.get(key))
     rep["pass"] = all(
         r.status is ProofStatus.PROVED
         for rs in rep.values()

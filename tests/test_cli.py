@@ -81,6 +81,37 @@ def test_classes_negative_bound_is_usage_error(capsys):
     assert err == "error: --bound must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("family", ["G311", "G411", "G611"])
+def test_classes_without_enumeration_is_usage_error(capsys, family):
+    # these families have matrices but no reflection candidates
+    code, out, err = run(capsys, "classes", family, "2")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("tripledot", "4", "5"),
+    ("tripledot",),
+    ("rank-one", "D4", "3"),
+    ("rank-one", "D4"),
+], ids=" ".join)
+def test_hecke_wrong_argument_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "hecke", *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--max-depth"])
+@pytest.mark.parametrize("value", ["0", "-1", "-5"])
+def test_prove_budget_flag_below_one_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "prove", "C_alpha", "1", "s1 s1", flag, value)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
 def test_bad_budget_scale_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)

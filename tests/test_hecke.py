@@ -1,6 +1,7 @@
 """Laurent arithmetic, Hecke/GDAHA specialization, degenerations."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,49 @@ def test_gdaha_specialization(family, n):
     assert rep["checks"]["braid"]["pass"]
     assert rep["checks"]["charpoly"]["pass"]
     assert rep["checks"]["extra_generator"]["pass"]
+
+
+# SHA-256 of the certificate text of every proof in each check, recorded
+# before the prover's search and hint resolver were folded onto one child
+# routine.  Restructuring the prover must never change a certificate.
+GDAHA_DIGESTS = {
+    ("C_alpha", 1): "0caf0f1f29a625214c1b4b52ad907944b5b2fd038120ea74d27e90bf0fd90183",
+    ("C_alpha", 2): "9b34e4884c5622e612f43628019218d3ac67beb6d489261cadbebc12645ac4ee",
+    ("C_alpha", 3): "f6839fe926231b962beb843ebb6cdcb468a3438ffd10eddfd82fbde1322251cd",
+    # the G(d,1,n) towers share their braid part, so their proofs agree
+    **{(f, 1): "bd507c904d76b99e1197f233a7012ba8d9e892ce53893318191a606fde231627"
+       for f in ("G311", "G411", "G611")},
+    **{(f, 2): "e804b0c6d091ed41dcf9123117644b372a9d0cadf64df23e6ccc50e7eea8f868"
+       for f in ("G311", "G411", "G611")},
+}
+TRIPLE_DOT_DIGESTS = {
+    3: "a0184a366c77eed679baf984555f966d1632252f26ec38d43321fd07fe0d9590",
+    4: "cb24da7705869c65995c8c93d0cd26aec44b45a2d11dd196c080bc569ae33bae",
+}
+
+
+def _digest(labelled_results):
+    text = "".join(
+        f"{label} {res.status.value}\n{res.certificate.to_text()}"
+        for label, res in labelled_results
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,n", GDAHA_CASES, ids=str)
+def test_gdaha_certificates_are_pinned(family, n):
+    checks = gdaha_check(family, n)["checks"]
+    braid = checks["braid"]["results"]
+    labelled = [(f"{key}[{i}]", res) for key in ("fwd", "bwd")
+                for i, res in enumerate(braid[key])]
+    labelled.append(("extra_generator", checks["extra_generator"]["result"]))
+    assert _digest(labelled) == GDAHA_DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("n", sorted(TRIPLE_DOT_DIGESTS))
+def test_triple_dot_certificates_are_pinned(n):
+    results = triple_dot_report(n)["results"]
+    assert _digest(sorted(results.items())) == TRIPLE_DOT_DIGESTS[n]
 
 
 def test_rank_one_table():
