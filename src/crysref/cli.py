@@ -74,10 +74,7 @@ def _build(family: str, n: int):
     if family not in GROUP_FAMILIES:
         raise _UsageError(f"unknown family {family!r}; choose from "
                           + ", ".join(GROUP_FAMILIES))
-    try:
-        return build_group_presentation(family, n)
-    except (RankOutOfRange, UnsupportedFamily) as exc:
-        raise _UsageError(str(exc)) from exc
+    return build_group_presentation(family, n)
 
 
 def _matrices(family: str, n: int):
@@ -85,10 +82,7 @@ def _matrices(family: str, n: int):
         raise _UsageError(
             f"no matrix representation for {family!r}; choose from "
             + ", ".join(MATRIX_FAMILIES))
-    try:
-        return build_generator_matrices(family, n)
-    except (RankOutOfRange, UnsupportedFamily) as exc:
-        raise _UsageError(str(exc)) from exc
+    return build_generator_matrices(family, n)
 
 
 def _proof_json(res) -> dict:
@@ -151,10 +145,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def cmd_braid(args) -> tuple[dict, int]:
-    try:
-        iso = braid_isomorphism(args.family, args.n)
-    except (RankOutOfRange, UnsupportedFamily) as exc:
-        raise _UsageError(str(exc)) from exc
+    iso = braid_isomorphism(args.family, args.n)
     hints = None
     if args.mode == "replay":
         if (args.family, args.n) != ("C_alpha", 3):
@@ -188,11 +179,8 @@ def cmd_abelianize(args) -> tuple[dict, int]:
 def cmd_classes(args) -> tuple[dict, int]:
     if args.bound < 0:
         raise _UsageError(f"--bound must be >= 0, got {args.bound}")
-    try:
-        classes = enumerate_reflection_classes(args.family, args.n,
-                                               bound=args.bound)
-    except (RankOutOfRange, UnsupportedFamily) as exc:
-        raise _UsageError(str(exc)) from exc
+    classes = enumerate_reflection_classes(args.family, args.n,
+                                           bound=args.bound)
     return {"count": len(classes), "classes": classes, "pass": True}, 0
 
 
@@ -205,10 +193,7 @@ def cmd_hecke(args) -> tuple[dict, int]:
         if args.hecke_n is None:
             raise _UsageError("gdaha-check needs a rank argument")
         family = _GDAHA_FAMILY[args.type]
-        try:
-            rep = gdaha_check(family, args.hecke_n)
-        except (RankOutOfRange, UnsupportedFamily) as exc:
-            raise _UsageError(str(exc)) from exc
+        rep = gdaha_check(family, args.hecke_n)
         rep = {"family": family, "legs": list(GDAHA_LEGS[args.type]), **rep}
         return rep, 0 if rep["pass"] else 1
     if args.check == "rank-one":
@@ -235,35 +220,32 @@ def cmd_hecke(args) -> tuple[dict, int]:
     return report, _status_exit(statuses)
 
 
+def _target_word(args):
+    """The presentation (Artin group with ``--artin``) and the parsed word."""
+    pres = _build(args.family, args.n)
+    target = artinize(pres) if args.artin else pres
+    try:
+        return target, parse_word(args.word, target.generator_names)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def cmd_prove(args) -> tuple[dict, int]:
     for flag, value in (("--max-len", args.max_len),
                         ("--max-depth", args.max_depth)):
         if value is not None and value < 1:
             raise _UsageError(f"{flag} must be >= 1, got {value}")
-    pres = _build(args.family, args.n)
-    target = artinize(pres) if args.artin else pres
-    try:
-        word = parse_word(args.word, target.generator_names)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    budget = Budget.for_word(word)
-    if args.max_len is not None:
-        budget = Budget(args.max_len, budget.max_depth, budget.max_states)
-    if args.max_depth is not None:
-        budget = Budget(budget.max_word_length, args.max_depth,
-                        budget.max_states)
+    target, word = _target_word(args)
+    default = Budget.for_word(word)
+    budget = Budget(args.max_len or default.max_word_length,
+                    args.max_depth or default.max_depth, default.max_states)
     res = prove_trivial(word, target.relators, budget)
     report = {"word": word.text(target.generator_names), **_proof_json(res)}
     return report, _status_exit([res.status])
 
 
 def cmd_replay(args) -> tuple[dict, int]:
-    pres = _build(args.family, args.n)
-    target = artinize(pres) if args.artin else pres
-    try:
-        word = parse_word(args.word, target.generator_names)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    target, word = _target_word(args)
     try:
         with open(args.certificate) as fh:
             cert = Certificate.from_text(fh.read())
@@ -391,7 +373,7 @@ def main(argv=None) -> int:
         return EX_USAGE
     try:
         report, code = args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, RankOutOfRange, UnsupportedFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     report = _jsonable({"schema": 1, "command": args.command, **report,

@@ -22,6 +22,8 @@ def braid_space_for(family: str, n: int) -> tuple[str, int]:
     """Which configuration-space braid presentation matches the Artin
     group of the given family at rank n."""
     if family == "C_alpha":
+        if n < 1:
+            raise RankOutOfRange("C_alpha needs n >= 1")
         return ("FreeRank3", 1) if n == 1 else ("PuncturedSphere4", n)
     if family == "A_alpha":
         if n < 2:

@@ -263,14 +263,6 @@ def _chain_with_tail_pair(
     return Presentation(tuple(names), tuple(orders), tuple(rels), (base, e), diagram)
 
 
-def _updown_base(k: int, down_to: int, skip: int | None = None) -> Word:
-    """s1 .. sk then back down to s_{down_to} (1-based), optionally
-    skipping one ascending index."""
-    asc = [i for i in range(k) if i != skip]
-    desc = list(range(k - 2, down_to - 2, -1))
-    return Word([(i, 1) for i in asc] + [(i, 1) for i in desc])
-
-
 def _g412_presentation(n: int) -> Presentation:
     if n < 2:
         raise RankOutOfRange("[G(4,1,n)]_2 needs n >= 2")

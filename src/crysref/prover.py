@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .snf import smith_normal_form
-from .words import Letter, Word
+from .words import Letter, Word, free_reduce
 
 
 class ProofStatus(Enum):
@@ -66,6 +66,8 @@ class Budget:
 
 # a step is ("insert", variant_index, shift, pos) or ("cancel", pos)
 Step = tuple
+# one tuple per distinct step, shared by every certificate built here
+_STEPS: dict[Step, Step] = {}
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,7 @@ def symmetrized_relators(relators: Sequence[Word]) -> list[Word]:
 
 def _shifted(variant: Word, shift: int) -> tuple[Letter, ...]:
     ls = variant.letters
-    if not ls:
-        return ()
-    shift %= len(ls)
+    shift %= len(ls) or 1
     return ls[shift:] + ls[:shift]
 
 
@@ -189,7 +189,7 @@ def _insert_and_reduce(
     while i < tail and i < len(work) - 1:
         a, b = work[i], work[i + 1]
         if a[0] == b[0] and a[1] == -b[1]:
-            steps.append(("cancel", i))
+            steps.append(_STEPS.setdefault(("cancel", i), ("cancel", i)))
             del work[i : i + 2]
             tail -= 1 if i + 1 == tail else 2
             i = max(i - 1, 0)
@@ -198,44 +198,63 @@ def _insert_and_reduce(
     return tuple(work), steps
 
 
-def _seam_positions(seq: tuple[Letter, ...], chunk: tuple[Letter, ...]) -> list[int]:
-    """Insertion positions for chunk in seq, ascending: the two ends plus
-    every position where chunk cancels against seq across a seam.  Any
-    other position strictly grows the word, and the same word is reachable
-    through another cyclic shift of the relator anyway."""
-    head, tail = chunk[0], chunk[-1]
-    positions = {0, len(seq)}
-    for p, (g, e) in enumerate(seq):
-        if g == tail[0] and e == -tail[1]:
-            positions.add(p)
-        if g == head[0] and e == -head[1]:
-            positions.add(p + 1)
-    return sorted(positions)
+# A prover state is a str with one code point per letter, chr(2g + (e > 0)):
+# the inverse letter flips the low bit, and str order is letter-tuple order.
+def _encode(letters: Sequence[Letter]) -> str:
+    return "".join([chr(2 * g + (e > 0)) for g, e in letters])
 
 
-def _chunks(
-    variants: Sequence[Word], indices: Sequence[int]
-) -> list[tuple[int, int, tuple[Letter, ...]]]:
-    """(v, s, chunk) for every distinct cyclic shift of the variants at
-    the given indices, in index then shift order, first occurrence kept."""
-    out: dict[tuple[Letter, ...], tuple[int, int, tuple[Letter, ...]]] = {}
+def _decode(seq: str) -> tuple[Letter, ...]:
+    return tuple([(ord(c) >> 1, 1 if ord(c) & 1 else -1) for c in seq])
+
+
+def _chunks(variants: Sequence[Word], indices: Sequence[int]) -> list[tuple]:
+    """(v, s, head, tail, body, inv) per distinct cyclic shift s of the
+    variants v at indices, first occurrence kept: head and tail invert the
+    shift's end letters, body is the reduced shift, inv its letters inverted."""
+    out: dict[str, tuple] = {}
     for v in indices:
         for s in range(len(variants[v].letters)):
-            chunk = _shifted(variants[v], s)
-            out.setdefault(chunk, (v, s, chunk))
+            raw = _shifted(variants[v], s)
+            body = free_reduce(raw)
+            inv = _encode([(g, -e) for g, e in body])
+            ends = _encode([(g, -e) for g, e in (raw[0], raw[-1])])
+            out.setdefault(_encode(raw), (v, s, *ends, _encode(body), inv))
     return list(out.values())
 
 
-def _children(
-    seq: tuple[Letter, ...],
-    chunks: Sequence[tuple[int, int, tuple[Letter, ...]]],
-):
-    """Every one-insert move from seq: (v, s, pos, new) with new the freely
-    reduced result of inserting chunk (v, s) at pos, in chunk order and
-    ascending pos.  Search and hint resolution both enumerate this."""
-    for v, s, chunk in chunks:
-        for pos in _seam_positions(seq, chunk):
-            yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
+def _joins(seq: str, chunks: Sequence[tuple]):
+    """The moves (v, s, pos, new) from the freely reduced state seq, in chunk
+    then pos order, for the search and the hints alike.  pos is an end of seq
+    or a seam where the shift's unreduced first or last letter cancels (any
+    other pos only grows the word, which another shift reaches too); new is
+    the free reduction of the insert, one slice join after the seam cancels."""
+    n = len(seq)
+    for v, s, head, tail, body, inv in chunks:
+        found = {0, n}
+        p = seq.find(tail)
+        while p >= 0:
+            found.add(p)
+            p = seq.find(tail, p + 1)
+        p = seq.find(head)
+        while p >= 0:
+            found.add(p + 1)
+            p = seq.find(head, p + 1)
+        for pos in sorted(found):
+            i = j = pos
+            k, m = 0, len(body)
+            while k < m and i and seq[i - 1] == inv[k]:
+                i -= 1
+                k += 1
+            while k < m and j < n and seq[j] == inv[m - 1]:
+                j += 1
+                m -= 1
+            if k == m:
+                # the chunk cancelled away: seq cancels across the join
+                while i and j < n and ord(seq[i - 1]) ^ 1 == ord(seq[j]):
+                    i -= 1
+                    j += 1
+            yield v, s, pos, seq[:i] + body[k:m] + seq[j:]
 
 
 def abelian_obstruction(word: Word, relators: Sequence[Word]) -> bool:
@@ -287,29 +306,35 @@ def prove_trivial(
 def _search(
     word: Word,
     variants: Sequence[Word],
-    chunks: Sequence[tuple[int, int, tuple[Letter, ...]]],
+    chunks: Sequence[tuple],
     budget: Budget,
     lifo: bool,
 ) -> ProofResult:
-    """Best-first search over the ``_children`` moves, shortest word first.
+    """Best-first search over the ``_joins`` moves, shortest word first.
 
-    Each state keeps one parent record ``(parent, v, s, pos, depth)``;
-    the cancel steps are rebuilt along the final chain only."""
-    start = word.letters
+    A state is an ``_encode`` string keeping one parent record ``(parent,
+    v, s, pos, depth)``; ``_build_certificate`` rebuilds the cancel steps.
+    An ``Unknown`` names the limit that ended the search."""
+    start = _encode(word.letters)
     # heap entries: (score, tiebreak, seq)
     counter = 0
-    heap: list[tuple[int, int, tuple[Letter, ...]]] = [(len(start), 0, start)]
-    came_from: dict[tuple[Letter, ...], tuple] = {start: (None, 0, 0, 0, 0)}
+    heap: list[tuple[int, int, str]] = [(len(start), 0, start)]
+    came_from: dict[str, tuple] = {start: (None, 0, 0, 0, 0)}
     explored = 0
+    reason = "no moves left within max_word_length and max_depth"
     while heap:
         _, _, seq = heapq.heappop(heap)
         explored += 1
-        if explored > budget.max_states or len(came_from) > 40 * budget.max_states:
+        if explored > budget.max_states:
+            reason = f"popped more than {budget.max_states} states (max_states)"
+            break
+        if len(came_from) > 40 * budget.max_states:
+            reason = f"stored more than {40 * budget.max_states} states (40 * max_states)"
             break
         depth = came_from[seq][4] + 1
         if depth > budget.max_depth:
             continue
-        for v, s, pos, new in _children(seq, chunks):
+        for v, s, pos, new in _joins(seq, chunks):
             if len(new) > budget.max_word_length or new in came_from:
                 continue
             came_from[new] = (seq, v, s, pos, depth)
@@ -323,15 +348,14 @@ def _search(
             # the length plateau breadth-first
             tie = -counter if lifo else counter
             heapq.heappush(heap, (len(new), tie, new))
-    return ProofResult(ProofStatus.UNKNOWN, reason="search budget exhausted")
+    return ProofResult(ProofStatus.UNKNOWN, reason=f"search budget exhausted: {reason}")
 
 
 def _build_certificate(records, final, variants) -> Certificate:
-    """The certificate of the chain ending at final.  ``records`` yields,
-    last link first, the map that holds each link's ``(parent, v, s, pos,
-    ...)`` record; a ``None`` parent ends the chain early.  The cancel
-    steps are recomputed along this one chain, so states need not keep
-    them."""
+    """The certificate of the chain ending at state final.  ``records``
+    yields, last link first, the map holding each link's ``(parent, v, s,
+    pos, ...)``; a ``None`` parent ends the chain early.  The cancel steps
+    are recomputed on the decoded chain; equal steps share a ``_STEPS`` tuple."""
     links = []
     for record in records:
         parent, v, s, pos = record[final][:4]
@@ -341,8 +365,9 @@ def _build_certificate(records, final, variants) -> Certificate:
         final = parent
     steps: list[Step] = []
     for parent, v, s, pos in reversed(links):
-        steps.append(("insert", v, s, pos))
-        steps += _insert_and_reduce(parent, _shifted(variants[v], s), pos)[1]
+        step = ("insert", v, s, pos)
+        steps.append(_STEPS.setdefault(step, step))
+        steps += _insert_and_reduce(_decode(parent), _shifted(variants[v], s), pos)[1]
     return Certificate(tuple(steps))
 
 
@@ -354,23 +379,24 @@ def resolve_hint(
     word: Word, relators: Sequence[Word], hint: Sequence[int]
 ) -> ProofResult:
     """Resolve a loose hint — an ordered sequence of relator indices —
-    into a strict certificate.  At each step the search's ``_children``
+    into a strict certificate.  At each step the search's ``_joins``
     moves are tried for both orientations and every distinct shift of the
     hinted relator, and a small beam of the shortest results is kept
-    (deterministic tie-break: length, then variant/shift/position), so a
-    hint only needs to name the relations a derivation uses, in order."""
+    (deterministic tie-break: length, variant/shift/position, then the
+    ``_encode`` string, ordered as its letters), so a hint only needs to
+    name the relations a derivation uses, in order."""
     variants = symmetrized_relators(relators)
     beam_width = 8
-    beam = [word.letters]
+    beam = [_encode(word.letters)]
     # per hint step, for each beam word: (parent, v, s, pos, tie_key)
     history: list[dict] = []
     for r in hint:
         if not 0 <= r < len(relators):
             return ProofResult(ProofStatus.UNKNOWN, reason=f"bad hint index {r}")
         chunks = _chunks(variants, (2 * r, 2 * r + 1))
-        candidates: dict[tuple[Letter, ...], tuple] = {}
+        candidates: dict[str, tuple] = {}
         for seq in beam:
-            for v, s, pos, new in _children(seq, chunks):
+            for v, s, pos, new in _joins(seq, chunks):
                 key = (len(new), v, s, pos)
                 prev = candidates.get(new)
                 if prev is None or key < prev[4]:
@@ -379,9 +405,9 @@ def resolve_hint(
             return ProofResult(ProofStatus.UNKNOWN, reason="empty relator in hint")
         beam = sorted(candidates, key=lambda w: (candidates[w][4], w))[:beam_width]
         history.append({w: candidates[w] for w in beam})
-    if () in beam:
+    if "" in beam:
         return ProofResult(
-            ProofStatus.PROVED, _build_certificate(reversed(history), (), variants)
+            ProofStatus.PROVED, _build_certificate(reversed(history), "", variants)
         )
     return ProofResult(
         ProofStatus.UNKNOWN, reason="hint did not reach the empty word"

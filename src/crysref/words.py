@@ -73,9 +73,7 @@ class Word:
 
     def cyclic_shift(self, k: int) -> "Word":
         ls = self.letters
-        if not ls:
-            return self
-        k %= len(ls)
+        k %= len(ls) or 1
         return Word(ls[k:] + ls[:k])
 
     def cyclic_normal_form(self) -> tuple[Letter, ...]:

@@ -160,6 +160,15 @@ def test_braid_rank_one_routes_to_free_group(capsys):
     assert rep["space"] == "FreeRank3"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_braid_c_alpha_rank_below_one_is_usage_error(capsys, n):
+    # the message names C_alpha's own bound, not the sphere space's n >= 2
+    code, out, err = run(capsys, "braid", "C_alpha", n)
+    assert code == 64
+    assert out == ""
+    assert err == "error: C_alpha needs n >= 1\n"
+
+
 def test_braid_replay_unavailable_elsewhere(capsys):
     code, _, err = run(capsys, "braid", "A_alpha", "3", "--mode", "replay")
     assert code == 64

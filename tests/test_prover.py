@@ -1,7 +1,7 @@
 """Word-problem prover: certificates, replay, hints, obstructions."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crysref.presentations import artinize, build_group_presentation
 from crysref.prover import (
@@ -17,7 +17,7 @@ from crysref.prover import (
     symmetrized_relators,
     verify_homomorphism,
 )
-from crysref.prover import _insert_and_reduce
+from crysref.prover import _chunks, _decode, _encode, _insert_and_reduce, _joins
 from crysref.words import Word, free_reduce, parse_word
 
 NAMES = ("a", "b", "c")
@@ -193,3 +193,109 @@ def test_insert_and_reduce_matches_full_scan(raw, chunk, data):
     pos = data.draw(st.integers(0, len(seq)), label="pos")
     assert _insert_and_reduce(seq, chunk, pos) == \
         _insert_and_reduce_full_scan(seq, chunk, pos)
+
+
+# ---------------------------------------------------------------------
+# the string child routine against a tuple reference
+
+
+def _seam_positions_reference(seq, chunk):
+    """Insertion positions as the tuple prover chose them: both ends, and
+    every seam where chunk's first or last letter cancels against seq."""
+    head, tail = chunk[0], chunk[-1]
+    positions = {0, len(seq)}
+    for p, (g, e) in enumerate(seq):
+        if (g, -e) == tail:
+            positions.add(p)
+        if (g, -e) == head:
+            positions.add(p + 1)
+    return sorted(positions)
+
+
+def _children_reference(seq, variants):
+    """(v, s, pos, new) over letter tuples: every distinct cyclic shift,
+    first occurrence kept, at every seam position, inserted and freely
+    reduced by ``_insert_and_reduce``."""
+    seen = set()
+    for v, variant in enumerate(variants):
+        ls = variant.letters
+        for s in range(len(ls)):
+            chunk = ls[s:] + ls[:s]
+            if chunk in seen:
+                continue
+            seen.add(chunk)
+            for pos in _seam_positions_reference(seq, chunk):
+                yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
+
+
+RELATORS = st.lists(st.lists(LETTERS, min_size=1, max_size=6).map(Word)
+                    .filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LETTERS, max_size=14).map(free_reduce), RELATORS)
+@example(seq=free_reduce([(1, 1), (0, -1), (2, 1), (0, 1)]),
+         relators=[parse_word("a b a^-1", NAMES)])
+@example(seq=free_reduce([(0, 1), (1, -1), (0, -1), (1, 1)]),
+         relators=[parse_word("a b a^-1 c", NAMES)])
+def test_joins_match_tuple_reference(seq, relators):
+    # relators that are not cyclically reduced (a b a^-1) give chunks that
+    # are not freely reduced: their raw ends must still pick the positions
+    variants = symmetrized_relators(relators)
+    chunks = _chunks(variants, range(len(variants)))
+    got = list(_joins(_encode(seq), chunks))
+    want = list(_children_reference(seq, variants))
+    assert [m[:3] for m in got] == [m[:3] for m in want]
+    assert [_decode(m[3]) for m in got] == [m[3] for m in want]
+
+
+WIDE_LETTERS = st.tuples(st.integers(0, 300), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(WIDE_LETTERS, max_size=6).map(tuple), max_size=8))
+def test_encoding_preserves_letter_order(words):
+    # generator indices past 127 included: states are str, not bytes
+    encoded = [_encode(w) for w in words]
+    assert [_decode(x) for x in encoded] == words
+    assert [_decode(x) for x in sorted(encoded)] == sorted(words)
+
+
+def test_generators_past_127_are_proved_and_replay():
+    artin = artinize(build_group_presentation("A_alpha", 200))
+    # (s150 s151)^3 = (s151 s150)^3, from the one braid relator of the pair;
+    # the other relators are left out to keep the abelian check small
+    w = artin.word("s150 s151 s150 s151 s150 s151 "
+                   "s150^-1 s151^-1 s150^-1 s151^-1 s150^-1 s151^-1")
+    rels = [r for r in artin.relators if {g for g, _ in r.letters} <= {149, 150}]
+    assert [r.text(artin.generator_names) for r in rels] == \
+        ["s150 s151 s150 s151^-1 s150^-1 s151^-1"]
+    for res in (prove_trivial(w, rels), resolve_hint(w, rels, [0, 0])):
+        assert res.status is ProofStatus.PROVED
+        assert check_certificate(res.certificate, w, rels)
+
+
+C2_COMMUTATOR = "s1 s2 s1^-1 s2^-1"
+
+
+@pytest.mark.parametrize("budget,reason", [
+    (Budget(max_word_length=6, max_depth=20, max_states=5),
+     "popped more than 5 states (max_states)"),
+    (Budget(max_word_length=10, max_depth=20, max_states=5),
+     "stored more than 200 states (40 * max_states)"),
+    (Budget(max_word_length=4, max_depth=20, max_states=5),
+     "no moves left within max_word_length and max_depth"),
+])
+def test_unknown_names_the_limit_hit(budget, reason):
+    # s1 and s2 do not commute in the C2 Artin group, so only a limit ends
+    # the search
+    artin = artinize(build_group_presentation("C_alpha", 2))
+    res = prove_trivial(artin.word(C2_COMMUTATOR), artin.relators, budget)
+    assert res.status is ProofStatus.UNKNOWN
+    assert res.reason == f"search budget exhausted: {reason}"
+
+
+def test_unknown_in_free_group_has_no_moves():
+    res = prove_trivial(parse_word("a b a^-1 b^-1", NAMES), ())
+    assert res.reason == ("search budget exhausted: no moves left within "
+                          "max_word_length and max_depth")
