@@ -4,8 +4,13 @@ An affine element is a pair (g | t): linear part g and translation t over
 a ring of exact scalars.  Composition follows
 (g | t)(g' | t') = (g g' | g t' + t).  Every linear part here is monomial
 (one unit per row and column), so an element is stored as
-(perm, units | t): row i of g holds units[i] in column perm[i].  The rank
-of g - 1 and the order of g are read off the cycles of perm.
+(perm, units | shift): row i of g holds units[i] in column perm[i].  The
+rank of g - 1 and the order of g are read off the cycles of perm.
+
+Scalars are stored as int pairs (a, b) meaning a + b*w, and multiplied by
+the ring's one pair multiply, ``RingSpec.mul``.  ``RingElement`` appears
+only at the edges: ``linear``, ``translation``, ``apply`` and ``cycles``
+return it, and printing and JSON read it.
 """
 
 from __future__ import annotations
@@ -15,78 +20,78 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .presentations import RankOutOfRange, UnsupportedFamily
-from .ring import RingElement, RingMode, RingSpec, SpecMismatchError
+from .ring import Pair, RingElement, RingMode, RingSpec, SpecMismatchError
 from .words import Word
 
 Matrix = tuple[tuple[RingElement, ...], ...]
 Vector = tuple[RingElement, ...]
-Monomial = tuple[tuple[int, ...], Vector]  # (perm, units)
+Pairs = tuple[Pair, ...]
+Monomial = tuple[tuple[int, ...], Pairs]  # (perm, units)
 
 
 @dataclass(frozen=True)
 class AffineElement:
-    """(g | t) with g monomial: row i of g holds units[i] in column perm[i]."""
+    """(g | t) with g monomial: row i of g holds units[i] in column perm[i];
+    units and the translation shift are int pairs of the ring spec."""
 
     spec: RingSpec
     perm: tuple[int, ...]
-    units: Vector
-    translation: Vector
+    units: Pairs
+    shift: Pairs
 
     def __post_init__(self) -> None:
-        n = len(self.translation)
+        n = len(self.shift)
         if len(self.units) != n or sorted(self.perm) != list(range(n)):
             raise ValueError("perm must be a permutation matching the translation")
-        for x in self.units:
-            if x.spec != self.spec:
-                raise SpecMismatchError("matrix entry from a different ring")
-            if x.is_zero():
-                raise ValueError("a monomial linear part has no zero unit")
-        for x in self.translation:
-            if x.spec != self.spec:
-                raise SpecMismatchError("translation entry from a different ring")
+        if (0, 0) in self.units:
+            raise ValueError("a monomial linear part has no zero unit")
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def identity(cls, spec: RingSpec, n: int) -> "AffineElement":
-        return cls(spec, tuple(range(n)), (spec.one(),) * n, (spec.zero(),) * n)
+        return cls(spec, tuple(range(n)), ((1, 0),) * n, ((0, 0),) * n)
 
     @property
     def dim(self) -> int:
-        return len(self.translation)
+        return len(self.shift)
 
     @property
     def linear(self) -> Matrix:
         """The linear part as a dense matrix."""
-        z = self.spec.zero()
+        el, z = self.spec.el, self.spec.zero()
         return tuple(
-            tuple(u if j == p else z for j in range(self.dim))
+            tuple(el(*u) if j == p else z for j in range(self.dim))
             for p, u in zip(self.perm, self.units)
         )
+
+    @property
+    def translation(self) -> Vector:
+        return tuple(self.spec.el(*x) for x in self.shift)
 
     # -- group structure -----------------------------------------------
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.spec != other.spec or self.dim != other.dim:
             raise SpecMismatchError("cannot compose over different rings/dims")
-        perm, units = other.perm, other.units
+        mul, perm, units = self.spec.mul, other.perm, other.units
         return AffineElement(
             self.spec,
             tuple(perm[p] for p in self.perm),
-            tuple(u * units[p] for p, u in zip(self.perm, self.units)),
-            self.apply(other.translation),
+            tuple(mul(u, units[p]) for p, u in zip(self.perm, self.units)),
+            self._apply(other.shift),
         )
 
     def inverse(self) -> "AffineElement":
         """Entry units[i] at (i, perm[i]) moves to (perm[i], i), inverted."""
-        n = self.dim
+        n, inv, mul = self.dim, self.spec.inv, self.spec.mul
         perm = [0] * n
-        units = [self.spec.one()] * n
+        units = [(1, 0)] * n
         for i, (p, u) in enumerate(zip(self.perm, self.units)):
             perm[p] = i
-            units[p] = u.inverse()
-        tr = tuple(-(u * self.translation[p]) for p, u in zip(perm, units))
-        return AffineElement(self.spec, tuple(perm), tuple(units), tr)
+            units[p] = inv(u)
+        shift = tuple(mul((-a, -b), self.shift[p]) for p, (a, b) in zip(perm, units))
+        return AffineElement(self.spec, tuple(perm), tuple(units), shift)
 
     def __pow__(self, k: int) -> "AffineElement":
         if k < 0:
@@ -102,12 +107,11 @@ class AffineElement:
 
     def is_translation(self) -> bool:
         """Whether the linear part is the identity."""
-        return self.perm == tuple(range(self.dim)) and all(
-            u.is_one() for u in self.units
-        )
+        n = self.dim
+        return self.perm == tuple(range(n)) and self.units == ((1, 0),) * n
 
     def is_identity(self) -> bool:
-        return self.is_translation() and all(x.is_zero() for x in self.translation)
+        return self.is_translation() and self.shift == ((0, 0),) * self.dim
 
     def cycles(self) -> list[tuple[int, RingElement]]:
         """(length m, unit product c) for each cycle of perm.  The block of
@@ -118,11 +122,11 @@ class AffineElement:
         for start in range(self.dim):
             if seen[start]:
                 continue
-            m, c, i = 0, self.spec.one(), start
+            m, c, i = 0, (1, 0), start
             while not seen[i]:
                 seen[i] = True
-                m, c, i = m + 1, c * self.units[i], self.perm[i]
-            out.append((m, c))
+                m, c, i = m + 1, self.spec.mul(c, self.units[i]), self.perm[i]
+            out.append((m, self.spec.el(*c)))
         return out
 
     def order(self) -> Optional[int]:
@@ -140,10 +144,18 @@ class AffineElement:
             k = lcm(k, m * e)
         return k if (self ** k).is_identity() else None
 
+    def _apply(self, v: Pairs) -> Pairs:
+        mul = self.spec.mul
+        out = []
+        for p, u, (a, b) in zip(self.perm, self.units, self.shift):
+            x, y = mul(u, v[p])
+            out.append((x + a, y + b))
+        return tuple(out)
+
     def apply(self, v: Vector) -> Vector:
-        return tuple(
-            u * v[p] + t for p, u, t in zip(self.perm, self.units, self.translation)
-        )
+        if any(x.spec != self.spec for x in v):
+            raise SpecMismatchError("vector entry from a different ring")
+        return tuple(self.spec.el(*x) for x in self._apply([(x.a, x.b) for x in v]))
 
     def __str__(self) -> str:
         rows = "; ".join(
@@ -156,11 +168,11 @@ def _root_of_unity_order(c: RingElement) -> Optional[int]:
     """Multiplicative order of c, or None if c is not a root of unity.
     The roots of unity in Z + αZ and Z[ζ_d], d in {3, 4, 6}, have order
     1, 2, 3, 4 or 6."""
-    x = c
+    x = base = (c.a, c.b)
     for e in range(1, 7):
-        if x.is_one():
+        if x == (1, 0):
             return e
-        x = x * c
+        x = c.spec.mul(x, base)
     return None
 
 
@@ -170,12 +182,13 @@ def _root_of_unity_order(c: RingElement) -> Optional[int]:
 MATRIX_FAMILIES = ("A_alpha", "C_alpha", "G311", "G411", "G611")
 
 
-def _diag(entries: Sequence[RingElement]) -> Monomial:
+def _diag(entries: Sequence[Pair]) -> Monomial:
     return tuple(range(len(entries))), tuple(entries)
 
 
-def _unit_vector(spec: RingSpec, n: int, i: int, value: RingElement) -> Vector:
-    return tuple(value if j == i else spec.zero() for j in range(n))
+def _vector(n: int, entries: dict[int, Pair]) -> Pairs:
+    """The length-n pair vector with the given entries, zero elsewhere."""
+    return tuple(entries.get(k, (0, 0)) for k in range(n))
 
 
 def build_generator_matrices(
@@ -198,40 +211,32 @@ def build_generator_matrices(
         )
     # first and top: the linear entries of the first and the last node;
     # shifts: the translations of the last node (both ends for type A)
+    one, zeta = (1, 0), (0, 1)  # zeta is alpha in the formal mode
     if family in ("A_alpha", "C_alpha"):
         spec = RingSpec.formal_alpha()
-        one = spec.one()
-        first, top, shifts = -one, -one, (one, spec.gen())
+        first, top, shifts = (-1, 0), (-1, 0), (one, zeta)
     else:
         d = {"G311": 3, "G411": 4, "G611": 6}[family]
         spec = RingSpec.cyclotomic(d)
-        one, zeta = spec.one(), spec.gen()
         # the affine-node linear entry: a root of unity whose order is the
         # order label of the top node
-        first, top, shifts = zeta, zeta if d in (3, 4) else -one, (one,)
-    zero = (spec.zero(),) * n
+        first, top, shifts = zeta, zeta if d in (3, 4) else (-1, 0), (one,)
+    zero = ((0, 0),) * n
     chain = [
-        AffineElement(spec, *_signed_transposition(spec, n, i, i + 1), zero)
+        AffineElement(spec, *_signed_transposition(n, i, i + 1), zero)
         for i in range(n - 1)
     ]
     if family == "A_alpha":
-        ends = _signed_transposition(spec, n, 0, n - 1)
+        ends = _signed_transposition(n, 0, n - 1)
         return spec, tuple(chain) + tuple(
-            AffineElement(
-                spec,
-                *ends,
-                tuple(
-                    b if j == 0 else -b if j == n - 1 else spec.zero()
-                    for j in range(n)
-                ),
-            )
-            for b in shifts
+            AffineElement(spec, *ends, _vector(n, {0: (a, b), n - 1: (-a, -b)}))
+            for a, b in shifts
         )
     last = _diag([one] * (n - 1) + [top])
     return spec, tuple(
         [AffineElement(spec, *_diag([first] + [one] * (n - 1)), zero)]
         + chain
-        + [AffineElement(spec, *last, _unit_vector(spec, n, n - 1, b)) for b in shifts]
+        + [AffineElement(spec, *last, _vector(n, {n - 1: b})) for b in shifts]
     )
 
 
@@ -321,9 +326,8 @@ def classify_element(a: AffineElement) -> dict:
         diagonal = a.perm == tuple(range(a.dim))
         out["linear_class"] = "sign" if diagonal else "transposition"
         if diagonal and a.spec.mode is RingMode.FORMAL_ALPHA:
-            i = next(i for i, u in enumerate(a.units) if not u.is_one())
-            b = a.translation[i]
-            out["residue"] = (b.a % 2, b.b % 2)
+            i = next(i for i, u in enumerate(a.units) if u != (1, 0))
+            out["residue"] = tuple(x % 2 for x in a.shift[i])
         return out
     return {"kind": "other", "finite_order": k is not None, "moved_rank": rank}
 
@@ -340,32 +344,32 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
         raise UnsupportedFamily(f"no class enumeration for {family}; choose A_alpha or C_alpha")
     spec, gens = build_generator_matrices(family, n)
     candidates = _reflection_candidates(family, spec, n, bound)
-    extended = set(_reflection_candidates(family, spec, n, bound + 2))
-    parent: dict[AffineElement, AffineElement] = {x: x for x in extended}
+    # the union-find runs on the extended candidates' list indices: an
+    # element is hashed once to number it, a conjugate once to look it up
+    extended = _reflection_candidates(family, spec, n, bound + 2)
+    index = {x: i for i, x in enumerate(extended)}
+    parent = list(range(len(extended)))
 
-    def find(x: AffineElement) -> AffineElement:
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: AffineElement, y: AffineElement) -> None:
-        rx, ry = find(x), find(y)
-        if rx is not ry:
-            parent[rx] = ry
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     # the conjugation edges are a fixed graph; one pass over all edges is
     # enough for union-find connectivity
     conjugators = [(g, g.inverse()) for g in gens]
     conjugators += [(c_inv, c) for c, c_inv in conjugators]
-    for x in extended:
+    for i, x in enumerate(extended):
         for c, c_inv in conjugators:
-            y = c * x * c_inv
-            if y in parent:
-                union(x, y)
-    classes: dict[AffineElement, list[AffineElement]] = {}
+            j = index.get(c * x * c_inv)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    classes: dict[int, list[AffineElement]] = {}
     for x in candidates:
-        classes.setdefault(find(x), []).append(x)
+        classes.setdefault(find(index[x]), []).append(x)
     out = []
     for members in classes.values():
         rep = min(members, key=str)
@@ -385,49 +389,30 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
 def _reflection_candidates(
     family: str, spec: RingSpec, n: int, bound: int
 ) -> list[AffineElement]:
-    one = spec.one()
     coeffs = [
-        spec.el(x, y)
-        for x in range(-bound, bound + 1)
-        for y in range(-bound, bound + 1)
+        (x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
     ]
     out: list[AffineElement] = []
     if family == "C_alpha":
         for i in range(n):
-            lin = _diag([-one if j == i else one for j in range(n)])
+            lin = _diag([(-1, 0) if j == i else (1, 0) for j in range(n)])
             for b in coeffs:
-                out.append(AffineElement(spec, *lin, _unit_vector(spec, n, i, b)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for eps in (1, -1):
-                    lin = _signed_transposition(spec, n, i, j, eps)
-                    for c in coeffs:
-                        t = tuple(
-                            c if k == i else (-c if eps == 1 else c) if k == j
-                            else spec.zero()
-                            for k in range(n)
-                        )
-                        cand = AffineElement(spec, *lin, t)
-                        if classify_element(cand)["kind"] == "reflection":
-                            out.append(cand)
-    elif family == "A_alpha":
-        for i in range(n):
-            for j in range(i + 1, n):
-                lin = _signed_transposition(spec, n, i, j)
-                for c in coeffs:
-                    t = tuple(
-                        c if k == i else -c if k == j else spec.zero()
-                        for k in range(n)
-                    )
+                out.append(AffineElement(spec, *lin, _vector(n, {i: b})))
+    # (g | c·(e_i - eps·e_j)) squares to the identity for the signed
+    # transposition g, so each of these is a reflection
+    for i in range(n):
+        for j in range(i + 1, n):
+            for eps in (1, -1) if family == "C_alpha" else (1,):
+                lin = _signed_transposition(n, i, j, eps)
+                for x, y in coeffs:
+                    t = _vector(n, {i: (x, y), j: (-eps * x, -eps * y)})
                     out.append(AffineElement(spec, *lin, t))
     return list(dict.fromkeys(out))  # de-duplicated, first occurrence kept
 
 
-def _signed_transposition(
-    spec: RingSpec, n: int, i: int, j: int, eps: int = 1
-) -> Monomial:
+def _signed_transposition(n: int, i: int, j: int, eps: int = 1) -> Monomial:
     """Swap coordinates i and j with sign eps on the off-diagonal pair."""
-    perm, units = list(range(n)), [spec.one()] * n
+    perm, units = list(range(n)), [(1, 0)] * n
     perm[i], perm[j] = j, i
-    units[i] = units[j] = spec.one() if eps == 1 else -spec.one()
+    units[i] = units[j] = (eps, 0)
     return tuple(perm), tuple(units)

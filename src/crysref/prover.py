@@ -9,6 +9,7 @@ abelianized invariant already rules the word out.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -223,6 +224,14 @@ def _chunks(variants: Sequence[Word], indices: Sequence[int]) -> list[tuple]:
     return list(out.values())
 
 
+@functools.lru_cache(maxsize=16)
+def _relator_chunks(relators: tuple[Word, ...]) -> tuple[tuple, tuple]:
+    """The symmetrized relators and the chunks of all their shifts, built
+    once per relator set: every proof against the same relators shares them."""
+    variants = tuple(symmetrized_relators(relators))
+    return variants, tuple(_chunks(variants, range(len(variants))))
+
+
 def _joins(seq: str, chunks: Sequence[tuple]):
     """The moves (v, s, pos, new) from the freely reduced state seq, in chunk
     then pos order, for the search and the hints alike.  pos is an end of seq
@@ -292,8 +301,7 @@ def prove_trivial(
         )
     if budget is None:
         budget = Budget.for_word(word)
-    variants = symmetrized_relators(relators)
-    chunks = _chunks(variants, range(len(variants)))
+    variants, chunks = _relator_chunks(tuple(relators))
     dive_budget = Budget(
         budget.max_word_length, budget.max_depth, max(1000, budget.max_states // 4)
     )

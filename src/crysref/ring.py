@@ -4,10 +4,13 @@ Two kinds of scalars appear as matrix entries: cyclotomic integers
 ``Z[zeta_d]`` for ``d`` in {3, 4, 6}, and elements of the formal lattice
 ``Z + alpha*Z`` where ``alpha`` is treated as a transcendental symbol.
 Every value is a pair ``(a, b)`` meaning ``a + b*w`` with ``w`` the
-adjoined generator.  In the formal mode a product that would create an
-``alpha**2`` term is an error, never a silent truncation: the group
-arithmetic in scope provably never produces one, so hitting the error
-means a bug upstream.
+adjoined generator.  ``RingSpec.mul`` and ``RingSpec.inv`` are the one
+multiply and inverse, on bare int pairs: the affine kernel calls them
+directly, and ``RingElement`` wraps a pair with its ring for parsing,
+printing and checked arithmetic.  In the formal mode a product that would
+create an ``alpha**2`` term is an error, never a silent truncation: the
+group arithmetic in scope provably never produces one, so hitting the
+error means a bug upstream.
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ class RingMode(Enum):
     FORMAL_ALPHA = "formal_alpha"
 
 
-# u**2 reduced as  u**2 = P*u + Q, and the printed symbol, per d.
-_CYCLO_DATA = {
+Pair = tuple[int, int]  # (a, b) meaning a + b*w
+# u**2 reduced as  u**2 = P*u + Q, and the printed symbol, per d; d is
+# None in the formal mode, where an alpha**2 term is an error instead.
+_RING_DATA = {
+    None: (0, 0, "α"),
     3: (-1, -1, "ζ3"),   # u²+u+1 = 0
     4: (0, -1, "i"),     # u²+1 = 0
     6: (1, -1, "ζ6"),    # u²-u+1 = 0
@@ -54,7 +60,7 @@ class RingSpec:
 
     def __post_init__(self) -> None:
         if self.mode is RingMode.CYCLOTOMIC:
-            if self.d not in _CYCLO_DATA:
+            if self.d is None or self.d not in _RING_DATA:
                 raise ValueError(f"cyclotomic order must be 3, 4 or 6, got {self.d}")
         elif self.d is not None:
             raise ValueError("formal-alpha mode carries no cyclotomic order")
@@ -69,9 +75,7 @@ class RingSpec:
 
     @property
     def symbol(self) -> str:
-        if self.mode is RingMode.FORMAL_ALPHA:
-            return "α"
-        return _CYCLO_DATA[self.d][2]
+        return _RING_DATA[self.d][2]
 
     def __repr__(self) -> str:
         if self.mode is RingMode.FORMAL_ALPHA:
@@ -97,10 +101,37 @@ class RingSpec:
     def reduction(self) -> tuple[int, int]:
         """(p, q) with u² = p·u + q; (0, 0) in formal mode where α² never
         arises."""
-        if self.mode is RingMode.FORMAL_ALPHA:
-            return (0, 0)
-        p, q, _ = _CYCLO_DATA[self.d]
-        return (p, q)
+        return _RING_DATA[self.d][:2]
+
+    # -- pair arithmetic -----------------------------------------------
+
+    def mul(self, x: Pair, y: Pair) -> Pair:
+        """The product of two pairs of this ring."""
+        (a, b), (c, d) = x, y
+        if b and d and self.d is None:
+            raise FormalAlphaOverflow(
+                f"({self.el(*x)}) * ({self.el(*y)}) would need an α² term"
+            )
+        p, q, _ = _RING_DATA[self.d]
+        # (a + b·u)(c + d·u) = ac + (ad + bc)·u + bd·u², u² = p·u + q
+        return a * c + b * d * q, a * d + b * c + b * d * p
+
+    def inv(self, x: Pair) -> Pair:
+        """Multiplicative inverse of a unit pair.
+
+        Solved as a 2x2 integer system: (a + b·u)(x + y·u) = 1.
+        """
+        a, b = x
+        if self.d is None:  # formal mode
+            if b == 0 and a in (1, -1):
+                return x
+            raise NotAUnit(f"{self.el(*x)} is not a unit of Z+αZ")
+        p, q, _ = _RING_DATA[self.d]
+        # [[a, b·q], [b, a + b·p]] @ (x, y) = (1, 0)
+        det = a * (a + b * p) - b * (b * q)
+        if det not in (1, -1):
+            raise NotAUnit(f"{self.el(*x)} is not a unit (norm {det})")
+        return (a + b * p) * det, -b * det
 
 
 @dataclass(frozen=True)
@@ -126,16 +157,7 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if self.spec.mode is RingMode.FORMAL_ALPHA:
-            if b != 0 and d != 0:
-                raise FormalAlphaOverflow(
-                    f"({self}) * ({other}) would need an α² term"
-                )
-            return RingElement(self.spec, a * c, a * d + b * c)
-        p, q, _ = _CYCLO_DATA[self.spec.d]
-        # (a + b·u)(c + d·u) = ac + (ad + bc)·u + bd·u², u² = p·u + q
-        return RingElement(self.spec, a * c + b * d * q, a * d + b * c + b * d * p)
+        return self.spec.el(*self.spec.mul((self.a, self.b), (other.a, other.b)))
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -144,23 +166,8 @@ class RingElement:
         return self.a == 1 and self.b == 0
 
     def inverse(self) -> "RingElement":
-        """Multiplicative inverse of a ring unit.
-
-        Solved as a 2x2 integer system: (a + b·u)(x + y·u) = 1.
-        """
-        if self.spec.mode is RingMode.FORMAL_ALPHA:
-            if self.b == 0 and self.a in (1, -1):
-                return self
-            raise NotAUnit(f"{self} is not a unit of Z+αZ")
-        p, q, _ = _CYCLO_DATA[self.spec.d]
-        a, b = self.a, self.b
-        # [[a, b·q], [b, a + b·p]] @ (x, y) = (1, 0)
-        det = a * (a + b * p) - b * (b * q)
-        if det not in (1, -1):
-            raise NotAUnit(f"{self} is not a unit (norm {det})")
-        x = (a + b * p) * det
-        y = -b * det
-        return RingElement(self.spec, x, y)
+        """Multiplicative inverse of a ring unit."""
+        return self.spec.el(*self.spec.inv((self.a, self.b)))
 
     def __pow__(self, k: int) -> "RingElement":
         if k < 0:

@@ -1,11 +1,15 @@
 """Affine matrix models: presentation checks, element orders, classes."""
 
+import hashlib
+import json
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from crysref.affine import (
     MATRIX_FAMILIES,
+    AffineElement,
     build_generator_matrices,
     classify_element,
     enumerate_reflection_classes,
@@ -14,6 +18,7 @@ from crysref.affine import (
     verify_presentation,
 )
 from crysref.presentations import build_group_presentation
+from crysref.ring import FormalAlphaOverflow, RingSpec, SpecMismatchError
 from crysref.words import Word, parse_word
 
 ALL_CASES = (
@@ -199,6 +204,63 @@ CLASS_GOLDENS = {
 def test_reflection_class_counts(family, n):
     classes = enumerate_reflection_classes(family, n, bound=2)
     assert len(classes) == CLASS_GOLDENS[(family, n)]
+
+
+# SHA-256 of json.dumps(enumerate_reflection_classes(f, n, 2), sort_keys=True)
+CLASS_DIGESTS = {
+    ("A_alpha", 3): "4bd807fc100944f5646c2d342daaee5c5373215219b6d096ab76393620047d35",
+    ("A_alpha", 4): "6fcec147f1def942dbd9721eda673f523d2ddde8f811e7421fa0ef05b3d31481",
+    ("C_alpha", 1): "3ee962240aa9786188407c0f8a5d5f1127cc31f178fa445226b81cd0d51b61ac",
+    ("C_alpha", 2): "074e6655e18efa7bb7119c97f522a1ae4a0ecc47872921a6ccef096b0e277703",
+    ("C_alpha", 3): "7ac492219d4ae26201af1d47983178f29abf9ba13b9460784dfbb83c6ea30c8d",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(CLASS_GOLDENS), ids=str)
+def test_reflection_classes_are_pinned(family, n):
+    # representatives, window sizes, linear classes and residues, not only
+    # the class counts
+    text = json.dumps(enumerate_reflection_classes(family, n, 2), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_DIGESTS[family, n]
+
+
+def _stored(spec, x):
+    """The ring element x in the form AffineElement stores its scalars (the
+    type of a stored unit), so the kernel edge tests below do not depend on
+    that storage."""
+    one = AffineElement.identity(spec, 1).units[0]
+    return x if isinstance(one, type(x)) else (x.a, x.b)
+
+
+def test_alpha_squared_overflows_in_the_kernel():
+    spec = RingSpec.formal_alpha()
+    alpha, zero = _stored(spec, spec.gen()), _stored(spec, spec.zero())
+    a = AffineElement(spec, (0,), (alpha,), (zero,))
+    with pytest.raises(FormalAlphaOverflow):
+        a * a
+
+
+def test_constructor_rejects_bad_perm_and_zero_unit():
+    spec = RingSpec.formal_alpha()
+    one, zero = _stored(spec, spec.one()), _stored(spec, spec.zero())
+    with pytest.raises(ValueError):
+        AffineElement(spec, (0, 0), (one, one), (zero, zero))
+    with pytest.raises(ValueError):
+        AffineElement(spec, (0, 1, 2), (one, one), (zero, zero))
+    with pytest.raises(ValueError):
+        AffineElement(spec, (0, 1), (one, zero), (zero, zero))
+
+
+def test_product_across_rings_is_rejected():
+    _, (a, *_) = build_generator_matrices("A_alpha", 2)
+    _, (g, *_) = build_generator_matrices("G311", 2)
+    with pytest.raises(SpecMismatchError):
+        a * g
+    with pytest.raises(SpecMismatchError):
+        g * a
+    _, (c, *_) = build_generator_matrices("C_alpha", 3)
+    with pytest.raises(SpecMismatchError):
+        a * c
 
 
 def test_matrix_families_constant():

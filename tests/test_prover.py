@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crysref.affine import build_generator_matrices, evaluate_word
 from crysref.presentations import artinize, build_group_presentation
 from crysref.prover import (
     Budget,
@@ -292,3 +293,31 @@ def test_unknown_names_the_limit_hit(budget, reason):
     res = prove_trivial(artin.word("s1 s2 s1^-1 s2^-1"), artin.relators, budget)
     assert res.status is ProofStatus.UNKNOWN
     assert res.reason == f"search budget exhausted: {reason}"
+
+
+@pytest.mark.parametrize("family,n", [("A_alpha", 3), ("C_alpha", 2)], ids=str)
+def test_proved_words_are_identity_matrices(family, n):
+    # soundness oracle: every Proved certificate replays, and its word is
+    # the identity under the affine matrix model of the group
+    pres = build_group_presentation(family, n)
+    _, gens = build_generator_matrices(family, n)
+    letters = st.lists(
+        st.tuples(st.integers(0, pres.num_generators - 1), st.sampled_from((1, -1))),
+        max_size=4,
+    ).map(Word)
+    conjugate = st.builds(
+        lambda u, r, e: u * (r if e == 1 else r.inverse()) * u.inverse(),
+        letters, st.sampled_from(pres.relators), st.sampled_from((1, -1)),
+    )
+    products = st.lists(conjugate, min_size=1, max_size=3).map(
+        lambda ws: Word([x for w in ws for x in w.letters]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(products, letters))
+    def inner(w):
+        res = prove_trivial(w, pres.relators, Budget(32, 16, 500))
+        if res.status is ProofStatus.PROVED:
+            assert check_certificate(res.certificate, w, pres.relators)
+            assert evaluate_word(w, gens).is_identity()
+
+    inner()
