@@ -357,9 +357,9 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
         return i
 
     # the conjugation edges are a fixed graph; one pass over all edges is
-    # enough for union-find connectivity
+    # enough for union-find connectivity.  y = c·x·c⁻¹ exactly when
+    # x = c⁻¹·y·c, so conjugating by the generators alone finds every edge
     conjugators = [(g, g.inverse()) for g in gens]
-    conjugators += [(c_inv, c) for c, c_inv in conjugators]
     for i, x in enumerate(extended):
         for c, c_inv in conjugators:
             j = index.get(c * x * c_inv)

@@ -2,9 +2,13 @@
 
 Covers the reflection presentations of the two non-genuine families
 (types A and C, with the x-relation and extra order relation), the
-genuine families encoded as diagram data, and the braid presentations of
-the relevant configuration spaces.  Relators are stored explicitly as
-words; the diagram is metadata, never the source of truth.
+genuine families, and the braid presentations of the relevant
+configuration spaces.  The genuine families are read off their
+Coxeter-like diagrams: an order relator per node, a braid relator per
+laced edge, a commutator per pair with no edge, and the extra order
+relation.  Types A and C keep explicit relator lists, because the hint
+scripts and the pinned certificates depend on their relator order and
+orientation.
 """
 
 from __future__ import annotations
@@ -18,22 +22,23 @@ from .words import Word, parse_word
 
 
 class Lace(Enum):
-    NONE = "none"
     SIMPLE = "simple"      # braid relation sts = tst
     DOUBLE = "double"      # quartic stst = tsts
-    TRIPLE = "triple"      # sextic ststst = tststs
     X = "x"                # the exchange relation of the non-genuine families
     INFINITY = "infinity"  # drawn edge, no relation
 
     @property
     def braid_length(self) -> int | None:
-        return {Lace.SIMPLE: 3, Lace.DOUBLE: 4, Lace.TRIPLE: 6}.get(self)
+        return {Lace.SIMPLE: 3, Lace.DOUBLE: 4}.get(self)
+
+
+Edge = tuple[int, int, Lace]                        # 0-based node pair, lace
 
 
 @dataclass(frozen=True)
 class CoxeterLikeDiagram:
     nodes: tuple[tuple[str, int | None], ...]      # (name, order label)
-    edges: tuple[tuple[int, int, Lace], ...]       # 0-based node pairs
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         x_count = sum(1 for _, _, l in self.edges if l is Lace.X)
@@ -54,6 +59,9 @@ class Presentation:
         k = len(self.generator_names)
         if len(self.generator_orders) != k:
             raise ValueError("orders/names length mismatch")
+        for o in self.generator_orders:
+            if o is not None and o < 1:
+                raise ValueError(f"generator order must be >= 1, got {o}")
         for r in self.relators:
             if r.max_index() >= k:
                 raise ValueError(f"relator {r!r} uses undeclared generator")
@@ -102,16 +110,9 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-def _a1_presentation() -> Presentation:
-    names = ("s1", "s2", "s3")
-    rels = [power_relator(i, 2) for i in range(3)]
-    base = Word([(0, 1), (1, 1), (2, 1)])
-    rels.append(base ** 2)
-    diagram = CoxeterLikeDiagram(
-        nodes=tuple((n, 2) for n in names),
-        edges=((0, 1, Lace.INFINITY), (0, 2, Lace.INFINITY), (1, 2, Lace.INFINITY)),
-    )
-    return Presentation(names, (2, 2, 2), tuple(rels), (base, 2), diagram)
+# Types A and C write their relators out: hints.py names the C3 Artin
+# relators by their indices 0-9, and the pinned certificates depend on
+# relator order and orientation, e.g. comm_relator(extra, j) below.
 
 
 def _c_presentation(n: int) -> Presentation:
@@ -120,7 +121,7 @@ def _c_presentation(n: int) -> Presentation:
     k = n + 2
     names = tuple(f"s{i}" for i in range(1, k + 1))
     rels: list[Word] = [power_relator(i, 2) for i in range(k)]
-    edges: list[tuple[int, int, Lace]] = []
+    edges: list[Edge] = []
     # chain s2 .. sn (0-based 1..n-1): simple laces
     for i in range(1, n - 1):
         rels.append(braid_relator(i, i + 1, 3))
@@ -157,7 +158,7 @@ def _a_presentation(n: int) -> Presentation:
     k = n + 1
     names = tuple(f"s{i}" for i in range(1, k + 1))
     rels: list[Word] = [power_relator(i, 2) for i in range(k)]
-    edges: list[tuple[int, int, Lace]] = []
+    edges: list[Edge] = []
     # chain s1 .. s(n-1)
     for i in range(n - 2):
         rels.append(braid_relator(i, i + 1, 3))
@@ -193,215 +194,112 @@ def _a_presentation(n: int) -> Presentation:
 
 
 # ---------------------------------------------------------------------
-# genuine families (diagram data; matrix representations exist only for
-# the d-cyclic label-1 towers)
+# genuine families, read off their Coxeter-like diagrams (matrix
+# representations exist only for the d-cyclic label-1 towers)
+
+
+def _word(*gens: int) -> Word:
+    return Word([(g, 1) for g in gens])
+
+
+def _chain(m: int, head: Lace, tail: Lace) -> list[Edge]:
+    """The path s1 - ... - s(m+1): the head lace first, the tail lace
+    last, simple laces between."""
+    return [(i, i + 1, head if i == 0 else tail if i == m - 1 else Lace.SIMPLE)
+            for i in range(m)]
+
+
+def _diagram_presentation(
+    orders: tuple[int, ...], edges: Sequence[Edge], base: Word, e: int
+) -> Presentation:
+    """The presentation a diagram on s1..sk encodes: an order relator per
+    node, a braid relator per laced edge (in the orientation given), a
+    commutator per pair with no edge (in index order), then base^e."""
+    k = len(orders)
+    names = tuple(f"s{i}" for i in range(1, k + 1))
+    rels = [power_relator(i, o) for i, o in enumerate(orders)]
+    rels += [braid_relator(i, j, l.braid_length) for i, j, l in edges
+             if l.braid_length]
+    drawn = {frozenset((i, j)) for i, j, _ in edges}
+    rels += [comm_relator(i, j) for i in range(k) for j in range(i + 1, k)
+             if frozenset((i, j)) not in drawn]
+    rels.append(base ** e)
+    diagram = CoxeterLikeDiagram(
+        tuple(zip(names, orders)),
+        tuple((min(i, j), max(i, j), l) for i, j, l in edges),
+    )
+    return Presentation(names, orders, tuple(rels), (base, e), diagram)
+
+
+def _a1_presentation() -> Presentation:
+    """C_alpha at n = 1 and A_alpha at n = 2: three involutions, pairwise
+    joined by infinity edges."""
+    edges = [(i, j, Lace.INFINITY) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return _diagram_presentation((2, 2, 2), edges, _word(0, 1, 2), 2)
+
 
 # per family: order of the first node, order of the top affine node, and
 # the exponent of the extra order relation
 _G_D1N = {"G311": (3, 3, 3), "G411": (4, 4, 4), "G611": (6, 2, 6)}
 
+# per family: order of the first node, exponent of the extra order
+# relation, and the name in the rank error
+_G_DPN = {"G412": (4, 4, "[G(4,1,n)]_2"), "G621": (3, 6, "[G(6,2,n)]")}
+
 
 def _g_d1n_presentation(family: str, n: int) -> Presentation:
     d0, dtop, e = _G_D1N[family]
-    k = n + 1
-    names = tuple(f"s{i}" for i in range(1, k + 1))
     orders = (d0,) + (2,) * (n - 1) + (dtop,)
-    rels: list[Word] = [power_relator(i, o) for i, o in enumerate(orders)]
-    edges: list[tuple[int, int, Lace]] = []
     if n == 1:
-        edges.append((0, 1, Lace.INFINITY))
+        edges = [(0, 1, Lace.INFINITY)]
     else:
-        rels.append(braid_relator(0, 1, 4))
-        edges.append((0, 1, Lace.DOUBLE))
-        for i in range(1, n - 1):
-            rels.append(braid_relator(i, i + 1, 3))
-            edges.append((i, i + 1, Lace.SIMPLE))
-        rels.append(braid_relator(n - 1, n, 4))
-        edges.append((n - 1, n, Lace.DOUBLE))
-        for i in range(k):
-            for j in range(i + 2, k):
-                rels.append(comm_relator(i, j))
-    # extra order relation (s1 ... s(n+1) sn ... s2)^e
-    base = Word([(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 1, 0, -1)])
-    rels.append(base ** e)
-    diagram = CoxeterLikeDiagram(
-        tuple(zip(names, orders)), tuple(edges)
-    )
-    return Presentation(names, orders, tuple(rels), (base, e), diagram)
+        edges = _chain(n, Lace.DOUBLE, Lace.DOUBLE)
+    # (s1 ... s(n+1) sn ... s2)^e
+    base = _word(*range(n + 1), *range(n - 1, 0, -1))
+    return _diagram_presentation(orders, edges, base, e)
 
 
-def _chain_with_tail_pair(
-    names: Sequence[str],
-    orders: Sequence[int],
-    chain_end: int,
-    tail: tuple[int, int],
-    tail_lace: Lace,
-    head_lace: Lace,
-    base: Word,
-    e: int,
-) -> Presentation:
-    """Chain s1..s_chain_end with a pair of extra nodes hanging off its end."""
-    rels: list[Word] = [power_relator(i, o) for i, o in enumerate(orders)]
-    edges: list[tuple[int, int, Lace]] = []
-    if head_lace.braid_length and chain_end >= 2:
-        rels.append(braid_relator(0, 1, head_lace.braid_length))
-        edges.append((0, 1, head_lace))
-    for i in range(1, chain_end - 1):
-        rels.append(braid_relator(i, i + 1, 3))
-        edges.append((i, i + 1, Lace.SIMPLE))
-    for t in tail:
-        rels.append(braid_relator(chain_end - 1, t, tail_lace.braid_length or 3))
-        edges.append((chain_end - 1, t, tail_lace))
-    k = len(names)
-    attached = {frozenset((i, j)) for i, j, _ in edges}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if frozenset((i, j)) not in attached:
-                rels.append(comm_relator(i, j))
-    rels.append(base ** e)
-    diagram = CoxeterLikeDiagram(tuple(zip(names, orders)), tuple(edges))
-    return Presentation(tuple(names), tuple(orders), tuple(rels), (base, e), diagram)
-
-
-def _g412_presentation(n: int) -> Presentation:
+def _g_dpn_presentation(family: str, n: int) -> Presentation:
+    """[G(4,1,n)]_2 and [G(6,2,n)]: a chain s1 .. sn with quartic laces
+    at both ends, and s(n-1) also joined to s(n+1) by a quartic lace."""
+    d0, e, name = _G_DPN[family]
     if n < 2:
-        raise RankOutOfRange("[G(4,1,n)]_2 needs n >= 2")
-    if n == 2:
-        names = ("s1", "s2", "s3")
-        orders = (4, 2, 2)
-        base = Word([(0, 1), (1, 1), (2, 1)])
-        return _chain_with_tail_pair(
-            names, orders, 1, (1, 2), Lace.DOUBLE, Lace.DOUBLE, base, 4
-        )
-    k = n + 1
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    orders = (4,) + (2,) * n
-    # (s1 ... s(n+1) s(n-1) ... s2)^4
-    base = Word(
-        [(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 2, 0, -1)]
-    )
-    return _chain_with_tail_pair(
-        names, orders, n - 1, (n - 1, n), Lace.DOUBLE, Lace.DOUBLE, base, 4
-    )
+        raise RankOutOfRange(f"{name} needs n >= 2")
+    edges = _chain(n - 1, Lace.DOUBLE, Lace.DOUBLE) + [(n - 2, n, Lace.DOUBLE)]
+    # (s1 ... s(n+1) s(n-1) ... s2)^e
+    base = _word(*range(n + 1), *range(n - 2, 0, -1))
+    return _diagram_presentation((d0,) + (2,) * n, edges, base, e)
 
 
 def _g421_presentation(n: int) -> Presentation:
     if n < 2:
         raise RankOutOfRange("[G(4,2,n)]_1 needs n >= 2")
     if n == 2:
-        # the exceptional star on five involutions
-        names = tuple(f"s{i}" for i in range(1, 6))
-        orders = (2,) * 5
-        rels: list[Word] = [power_relator(i, 2) for i in range(5)]
-        edges: list[tuple[int, int, Lace]] = []
-        for leaf in (0, 2, 3, 4):
-            rels.append(braid_relator(1, leaf, 3))
-            edges.append((min(1, leaf), max(1, leaf), Lace.SIMPLE))
-        for i, j in ((0, 2), (0, 3), (0, 4), (2, 3), (2, 4), (3, 4)):
-            rels.append(comm_relator(i, j))
-        base = Word([(1, 1), (0, 1), (2, 1), (3, 1), (4, 1)])
-        rels.append(base ** 2)
-        diagram = CoxeterLikeDiagram(tuple(zip(names, orders)), tuple(edges))
-        return Presentation(names, orders, tuple(rels), (base, 2), diagram)
-    if n == 3:
-        names = tuple(f"s{i}" for i in range(1, 6))
-        orders = (2,) * 5
-        rels = [power_relator(i, 2) for i in range(5)]
-        edges = [(0, 1, Lace.SIMPLE), (1, 2, Lace.SIMPLE), (0, 2, Lace.SIMPLE)]
-        for i, j, _ in edges:
-            rels.append(braid_relator(i, j, 3))
-        for t in (3, 4):
-            rels.append(braid_relator(2, t, 4))
-            edges.append((2, t, Lace.DOUBLE))
-        for i, j in ((0, 3), (0, 4), (1, 3), (1, 4), (3, 4)):
-            rels.append(comm_relator(i, j))
-        base = Word([(i, 1) for i in range(5)])
-        rels.append(base ** 4)
-        diagram = CoxeterLikeDiagram(tuple(zip(names, orders)), tuple(edges))
-        return Presentation(names, orders, tuple(rels), (base, 4), diagram)
-    k = n + 2
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    orders = (2,) * k
-    rels = [power_relator(i, 2) for i in range(k)]
+        # the exceptional star on five involutions, centred at s2
+        edges = [(1, leaf, Lace.SIMPLE) for leaf in (0, 2, 3, 4)]
+        return _diagram_presentation((2,) * 5, edges, _word(1, 0, 2, 3, 4), 2)
+    # a triangle s1 s2 s3, a chain s3 .. sn, and sn joined to s(n+1) and
+    # s(n+2) by quartic laces
     edges = [(0, 1, Lace.SIMPLE), (1, 2, Lace.SIMPLE), (0, 2, Lace.SIMPLE)]
-    for i, j, _ in edges:
-        rels.append(braid_relator(i, j, 3))
-    for i in range(2, n - 1):
-        rels.append(braid_relator(i, i + 1, 3))
-        edges.append((i, i + 1, Lace.SIMPLE))
-    for t in (n, n + 1):
-        rels.append(braid_relator(n - 1, t, 4))
-        edges.append((n - 1, t, Lace.DOUBLE))
-    attached = {frozenset((i, j)) for i, j, _ in edges}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if frozenset((i, j)) not in attached:
-                rels.append(comm_relator(i, j))
+    edges += [(i, i + 1, Lace.SIMPLE) for i in range(2, n - 1)]
+    edges += [(n - 1, n, Lace.DOUBLE), (n - 1, n + 1, Lace.DOUBLE)]
     # (s1 ... s(n+2) sn ... s4)^4
-    base = Word(
-        [(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 1, 2, -1)]
-    )
-    rels.append(base ** 4)
-    diagram = CoxeterLikeDiagram(tuple(zip(names, orders)), tuple(edges))
-    return Presentation(names, orders, tuple(rels), (base, 4), diagram)
+    base = _word(*range(n + 2), *range(n - 1, 2, -1))
+    return _diagram_presentation((2,) * (n + 2), edges, base, 4)
 
 
-def _g422_presentation(n: int) -> Presentation:
-    if n == 2:
-        names = tuple(f"s{i}" for i in range(1, 5))
-        orders = (2,) * 4
-        base = Word([(i, 1) for i in range(4)])
-        return _chain_with_tail_pair(
-            names, orders, 2, (2, 3), Lace.DOUBLE, Lace.SIMPLE, base, 4
-        )
-    if n < 4:
+def _g422_g631_presentation(family: str, n: int) -> Presentation:
+    """[G(4,2,n)]_2 and [G(6,3,n)]: a chain s1 .. sn with sn joined to
+    both s(n+1) and s(n+2) by quartic laces."""
+    if family == "G422" and (n < 2 or n == 3):
         raise RankOutOfRange("[G(4,2,n)]_2 is encoded for n = 2 and n >= 4")
-    k = n + 2
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    orders = (2,) * k
-    # (s1 ... s(n+2) s(n+1) ... s4)^4
-    base = Word(
-        [(i, 1) for i in range(k)] + [(i, 1) for i in range(k - 2, 2, -1)]
-    )
-    return _chain_with_tail_pair(
-        names, orders, n, (n, n + 1), Lace.DOUBLE, Lace.SIMPLE, base, 4
-    )
-
-
-def _g621_presentation(n: int) -> Presentation:
-    if n < 2:
-        raise RankOutOfRange("[G(6,2,n)] needs n >= 2")
-    if n == 2:
-        names = ("s1", "s2", "s3")
-        orders = (3, 2, 2)
-        base = Word([(0, 1), (1, 1), (2, 1)])
-        return _chain_with_tail_pair(
-            names, orders, 1, (1, 2), Lace.DOUBLE, Lace.DOUBLE, base, 6
-        )
-    k = n + 1
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    orders = (3,) + (2,) * n
-    base = Word(
-        [(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 2, 0, -1)]
-    )
-    return _chain_with_tail_pair(
-        names, orders, n - 1, (n - 1, n), Lace.DOUBLE, Lace.DOUBLE, base, 6
-    )
-
-
-def _g631_presentation(n: int) -> Presentation:
     if n < 2:
         raise RankOutOfRange("[G(6,3,n)] needs n >= 2")
-    k = n + 2
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    orders = (2,) * k
-    # (s2 ... s(n+2) s(n+1) ... s4)^6
-    asc = [(i, 1) for i in range(1, k)]
-    desc = [(i, 1) for i in range(k - 2, 2, -1)]
-    base = Word(asc + desc)
-    return _chain_with_tail_pair(
-        names, orders, n, (n, n + 1), Lace.DOUBLE, Lace.SIMPLE, base, 6
-    )
+    edges = _chain(n, Lace.SIMPLE, Lace.DOUBLE) + [(n - 1, n + 1, Lace.DOUBLE)]
+    # G422: (s1 ... s(n+2) s(n+1) ... s4)^4; G631: (s2 ... s(n+2) s(n+1) ... s4)^6
+    first, e = (0, 4) if family == "G422" else (1, 6)
+    base = _word(*range(first, n + 2), *range(n, 2, -1))
+    return _diagram_presentation((2,) * (n + 2), edges, base, e)
 
 
 def build_group_presentation(family: str, n: int) -> Presentation:
@@ -416,16 +314,12 @@ def build_group_presentation(family: str, n: int) -> Presentation:
         return _a_presentation(n)
     if family in _G_D1N:
         return _g_d1n_presentation(family, n)
-    if family == "G412":
-        return _g412_presentation(n)
+    if family in _G_DPN:
+        return _g_dpn_presentation(family, n)
     if family == "G421":
         return _g421_presentation(n)
-    if family == "G422":
-        return _g422_presentation(n)
-    if family == "G621":
-        return _g621_presentation(n)
-    if family == "G631":
-        return _g631_presentation(n)
+    if family in ("G422", "G631"):
+        return _g422_g631_presentation(family, n)
     raise UnsupportedFamily(family)
 
 
@@ -578,10 +472,8 @@ def abelianize(p: Presentation) -> list[int]:
 _LACE_STYLE = {
     Lace.SIMPLE: ("", ""),
     Lace.DOUBLE: ('label="4"', ""),
-    Lace.TRIPLE: ('label="6"', ""),
     Lace.X: ('label="x"', "style=dashed"),
     Lace.INFINITY: ('label="∞"', "style=dotted"),
-    Lace.NONE: ("", "style=invis"),
 }
 
 

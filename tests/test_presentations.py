@@ -1,5 +1,8 @@
 """Presentation construction, artinization, abelianization goldens."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -12,9 +15,12 @@ from crysref.presentations import (
     UnsupportedFamily,
     abelianize,
     artinize,
+    braid_relator,
     build_braid_presentation,
     build_group_presentation,
+    comm_relator,
     diagram_to_dot,
+    power_relator,
     presentation_from_text,
     presentation_to_text,
     punctured_sphere_braid,
@@ -230,3 +236,101 @@ def test_group_families_tuple():
         "A_alpha", "C_alpha", "G311", "G411", "G611",
         "G412", "G421", "G422", "G621", "G631",
     }
+
+
+# SHA-256 of presentation_to_text + diagram_to_dot for each genuine family
+# at ranks 1-5, or the message of the rank error.  The abelianization
+# goldens do not see relator order or orientation; these digests do.
+GENUINE_DIGESTS = {
+    ("G311", 1): "d77556d6296bd4cbb958a444222814312d5173078135987ab7f938e1f927f85d",
+    ("G311", 2): "f0726ff89263eb1f1376e00f62baf3dad49eebf3016e5bf47c161cce6ebdecc1",
+    ("G311", 3): "9721821178276a82a621317fea1949c799e724755d21637c3ab41fa8eadf84b5",
+    ("G311", 4): "0d3ce4e9485babf0a5c329304c352596003b0a2d9bc8e021747b3a9308d863a2",
+    ("G311", 5): "5dd5b9a975f0471940433c24ab4c9076a17f238a2deafaa8cadaec347ff8f50b",
+    ("G411", 1): "402d1b7691ea726e76cf7443149fe1d19197aaac4e2eda93543d2e49f3b6d632",
+    ("G411", 2): "b787bd2dbfe9bda42fef3753c4778aacc048447ece0810e3d177df5a897f8238",
+    ("G411", 3): "d67d220a417fdddae5b04449d8110139bcb9ca8f34ae44e32442cc61b09e0c93",
+    ("G411", 4): "f883ea24eac547b6f64ff8461a5070404b1cbeffcfce448842b6c698693f8efe",
+    ("G411", 5): "0e737b68d6a154f51875398f1ed6bed80c21103378bfaf7d3fb4c657a4099266",
+    ("G412", 1): "[G(4,1,n)]_2 needs n >= 2",
+    ("G412", 2): "689d7b0c10c2fdeb5ce817b22e0b5a7a5505606149d492ea8caaa97580d1633f",
+    ("G412", 3): "9117f24f43333686c01ee8085eb9269a99b50d64daa7f088ba099aba3d0370b9",
+    ("G412", 4): "fb33a6ab7c81c8b179921a70d851afb8bd7951659e4aa296e9d8158385ecd29c",
+    ("G412", 5): "6cde7e9d485907c02f4f315617ec55f869c37e0fce1a9ac4f0dbc251e0d36518",
+    ("G421", 1): "[G(4,2,n)]_1 needs n >= 2",
+    ("G421", 2): "3a37138973a0f362dfbf573122bf7e62ef2242eb1197df6943e2afa75d1a3e81",
+    ("G421", 3): "12b1ead5cc21d1898567646b23c14aed8d9f7d5c670fcf647785d2306e097a49",
+    ("G421", 4): "e77cbe3960bdfd53914aebe7bc01029b37c16d6bd2df1507b3e3c5b612d6c671",
+    ("G421", 5): "a7e353ada1935311e700faa77163979636d3b8b8f5a2e57740b5741d4db57a8d",
+    ("G422", 1): "[G(4,2,n)]_2 is encoded for n = 2 and n >= 4",
+    ("G422", 2): "7d478c0d052360b77bde36ba12807d72a769a81daae71871a3cdebe25103c857",
+    ("G422", 3): "[G(4,2,n)]_2 is encoded for n = 2 and n >= 4",
+    ("G422", 4): "396b53b3232f34048f96a1c5e4b9f01fcb1800002bf72237f3e610e3ad5369c7",
+    ("G422", 5): "a97f5dab03f90544fe6ef5d9db92b702938ea1e9959609d08d08ffe43915dead",
+    ("G611", 1): "3d86880b28203e7ffb448014ee625c0dd25cc8c49d482217c300b1dbbd1379fa",
+    ("G611", 2): "e990653c152cdf898690c69b62a2d4fdf41daf3c7173f5351ecb739e425b80b0",
+    ("G611", 3): "6a101407a4eb596dc8cc4ba8a950208da00acbfe355722ba2db87634c80290a7",
+    ("G611", 4): "7e6ddb4a6ff188a89bcaea1c1bc4c32aad94a047ecd9b7bd26bd5650a5869cc6",
+    ("G611", 5): "45925feebb33760f8384e5a711ac46dddff286fda17501f2c73384a4b981ffc1",
+    ("G621", 1): "[G(6,2,n)] needs n >= 2",
+    ("G621", 2): "9ed6e5077791d80f4f465c1506a715081c6a916561f9726dd4d29e4fe4fdad9d",
+    ("G621", 3): "4e970c42b6d63a0a8f45a365da47004913280b970fa50d4b6df922d4b61c9105",
+    ("G621", 4): "b9e34c17d7bc792e1c4d1ddd0c34e5f6973073bd52bd25d8f5cf245cedcb83fb",
+    ("G621", 5): "66c3670734fee4223fcce092bbe9e280697add56d93c0bc6fbbed6b280cc27f5",
+    ("G631", 1): "[G(6,3,n)] needs n >= 2",
+    ("G631", 2): "6299f63560eaf693bf49208714a1bf7f9474eef27caebf09d7f80682c4dff34c",
+    ("G631", 3): "be880b3f8920b1dc78cc9ecd6387b22dcdad2eed1d0d9f7a75d7d4fb5bd733a5",
+    ("G631", 4): "6a4b9e8194f8ea3bc3ccfd7136709a4c381529ea04586729e32bcdc0691d95a0",
+    ("G631", 5): "8f3c4ed0f1e34d08ac1d1ec55da2bf1d81fd94b46a7ec802113ece2a3eaf8513",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(GENUINE_DIGESTS), ids=str)
+def test_genuine_presentations_are_pinned(family, n):
+    try:
+        p = build_group_presentation(family, n)
+    except RankOutOfRange as exc:
+        assert str(exc) == GENUINE_DIGESTS[family, n]
+        return
+    text = presentation_to_text(p) + diagram_to_dot(p.diagram)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENUINE_DIGESTS[family, n]
+
+
+def _up_to_rotation_and_inversion(w):
+    return min(w.cyclic_normal_form(), w.inverse().cyclic_normal_form())
+
+
+@pytest.mark.parametrize("family", GROUP_FAMILIES)
+def test_diagram_encodes_the_relators(family):
+    for n in range(1, 8):
+        try:
+            p = build_group_presentation(family, n)
+        except RankOutOfRange:
+            continue
+        k, d = p.num_generators, p.diagram
+        have = Counter(_up_to_rotation_and_inversion(r) for r in p.relators)
+        drawn = {frozenset((i, j)) for i, j, _ in d.edges}
+        unlinked = [(i, j) for i in range(k) for j in range(i + 1, k)
+                    if frozenset((i, j)) not in drawn]
+        laced = [(i, j, lace.braid_length) for i, j, lace in d.edges
+                 if lace.braid_length]
+        base, e = p.extra_order_relation
+        expected = [power_relator(i, o) for i, (_, o) in enumerate(d.nodes)]
+        expected += [braid_relator(i, j, m) for i, j, m in laced]
+        expected += [comm_relator(i, j) for i, j in unlinked]
+        expected.append(base ** e)
+        for w in expected:
+            assert have[_up_to_rotation_and_inversion(w)], (family, n, w)
+        # an infinity edge carries no relator between its two nodes
+        for i, j, lace in d.edges:
+            if lace is Lace.INFINITY:
+                assert not any(have[_up_to_rotation_and_inversion(braid_relator(i, j, m))]
+                               for m in range(2, 7))
+        x = p.x_relator_index is not None
+        assert len(p.relators) == k + len(laced) + len(unlinked) + x + 1
+
+
+@pytest.mark.parametrize("orders", ["0 2", "2 -3"])
+def test_generator_orders_below_one_are_rejected(orders):
+    with pytest.raises(ValueError, match="order"):
+        presentation_from_text(f"gens: a b\norders: {orders}\nrel: a b\n")
