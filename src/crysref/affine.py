@@ -20,7 +20,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .presentations import RankOutOfRange, UnsupportedFamily
-from .ring import Pair, RingElement, RingMode, RingSpec, SpecMismatchError
+from .ring import Pair, RingElement, RingSpec, SpecMismatchError
 from .words import Word
 
 Matrix = tuple[tuple[RingElement, ...], ...]
@@ -196,13 +196,9 @@ def build_generator_matrices(
 ) -> tuple[RingSpec, tuple[AffineElement, ...]]:
     """Affine matrices realizing the reflection presentation generators:
     the transpositions of the chain, plus the first and last nodes."""
-    if family in ("G412", "G421", "G422", "G621", "G631"):
-        raise UnsupportedFamily(
-            f"{family} is available as presentation data only; no affine "
-            "matrix model is provided"
-        )
     if family not in MATRIX_FAMILIES:
-        raise UnsupportedFamily(family)
+        raise UnsupportedFamily(f"no matrix representation for {family!r}; "
+                                "choose from " + ", ".join(MATRIX_FAMILIES))
     if family == "A_alpha" and n < 2:
         raise RankOutOfRange("type A needs n >= 2")
     if n < 1:
@@ -325,7 +321,7 @@ def classify_element(a: AffineElement) -> dict:
         out = {"kind": "reflection", "order": k}
         diagonal = a.perm == tuple(range(a.dim))
         out["linear_class"] = "sign" if diagonal else "transposition"
-        if diagonal and a.spec.mode is RingMode.FORMAL_ALPHA:
+        if diagonal and a.spec.d is None:
             i = next(i for i, u in enumerate(a.units) if u != (1, 0))
             out["residue"] = tuple(x % 2 for x in a.shift[i])
         return out

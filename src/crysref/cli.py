@@ -2,7 +2,8 @@
 
 Subcommands: verify, braid, abelianize, classes, hecke, prove, replay,
 export.  Exit codes: 0 every check passed, 1 a check failed, 2 a prover
-returned Unknown, 64 usage error.  ``--json`` emits a machine-readable
+returned Unknown, 64 usage error; a usage error, argparse's own included,
+is one ``error:`` line on stderr.  ``--json`` emits a machine-readable
 report (``"schema": 1``).  The environment variable
 ``CRYSREF_BUDGET_SCALE`` multiplies all search budgets; it must be a
 finite number > 0.  If the reader of stdout goes away, the rest of the
@@ -18,12 +19,12 @@ import sys
 import time
 
 from .affine import (
-    MATRIX_FAMILIES,
     build_generator_matrices,
     enumerate_reflection_classes,
     verify_presentation,
 )
 from .hecke import (
+    GDAHA_FAMILY,
     GDAHA_LEGS,
     gdaha_check,
     rank_one_specialization_check,
@@ -32,7 +33,6 @@ from .hecke import (
 from .hints import sphere_rank3_hints
 from .isomorphisms import braid_isomorphism, braid_space_for
 from .presentations import (
-    GROUP_FAMILIES,
     RankOutOfRange,
     UnsupportedFamily,
     abelianize,
@@ -55,12 +55,14 @@ from .words import parse_word
 
 EX_USAGE = 64
 
-# GDAHA diagram type attached to each deformable family
-_GDAHA_FAMILY = {"D4": "C_alpha", "E6": "G311", "E7": "G411", "E8": "G611"}
-
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -68,21 +70,6 @@ def _budget_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the prover depth budget")
     parser.add_argument("--max-len", type=int, default=None,
                         help="override the prover word-length budget")
-
-
-def _build(family: str, n: int):
-    if family not in GROUP_FAMILIES:
-        raise _UsageError(f"unknown family {family!r}; choose from "
-                          + ", ".join(GROUP_FAMILIES))
-    return build_group_presentation(family, n)
-
-
-def _matrices(family: str, n: int):
-    if family not in MATRIX_FAMILIES:
-        raise _UsageError(
-            f"no matrix representation for {family!r}; choose from "
-            + ", ".join(MATRIX_FAMILIES))
-    return build_generator_matrices(family, n)
 
 
 def _proof_json(res) -> dict:
@@ -120,8 +107,8 @@ def _status_exit(statuses) -> int:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    pres = _build(args.family, args.n)
-    _, gens = _matrices(args.family, args.n)
+    pres = build_group_presentation(args.family, args.n)
+    _, gens = build_generator_matrices(args.family, args.n)
     full = verify_presentation(pres, gens)
     if args.what == "all":
         report, ok = full, full["pass"]
@@ -164,14 +151,14 @@ def cmd_braid(args) -> tuple[dict, int]:
     report = {
         "space": space,
         "space_rank": rank,
-        "checks": {k: [_proof_json(r) for r in rep[k]] for k in wanted},
+        "checks": {k: rep[k] for k in wanted},
         "pass": all(s is ProofStatus.PROVED for s in statuses),
     }
     return report, _status_exit(statuses)
 
 
 def cmd_abelianize(args) -> tuple[dict, int]:
-    pres = _build(args.family, args.n)
+    pres = build_group_presentation(args.family, args.n)
     divisors = abelianize(pres)
     return {"divisors": divisors, "pass": True}, 0
 
@@ -184,45 +171,29 @@ def cmd_classes(args) -> tuple[dict, int]:
     return {"count": len(classes), "classes": classes, "pass": True}, 0
 
 
-def cmd_hecke(args) -> tuple[dict, int]:
-    given = [a for a in (args.type, args.hecke_n) if a is not None]
-    if args.check == "gdaha-check":
-        if args.type not in _GDAHA_FAMILY:
-            raise _UsageError("GDAHA type must be one of "
-                              + ", ".join(sorted(_GDAHA_FAMILY)))
-        if args.hecke_n is None:
-            raise _UsageError("gdaha-check needs a rank argument")
-        family = _GDAHA_FAMILY[args.type]
-        rep = gdaha_check(family, args.hecke_n)
-        rep = {"family": family, "legs": list(GDAHA_LEGS[args.type]), **rep}
-        return rep, 0 if rep["pass"] else 1
-    if args.check == "rank-one":
-        if given:
-            raise _UsageError("rank-one takes no arguments")
-        rep = rank_one_specialization_check()
-        return rep, 0 if rep["pass"] else 1
-    # tripledot: the rank lands in the optional `type` slot
-    if len(given) != 1:
-        raise _UsageError("tripledot needs exactly one rank argument")
-    try:
-        n = int(given[0])
-    except ValueError:
-        raise _UsageError(f"bad rank {given[0]!r}") from None
-    if n < 3:
-        raise _UsageError("the triple-dot construction needs n >= 3")
-    rep = triple_dot_report(n)
+def cmd_gdaha_check(args) -> tuple[dict, int]:
+    family = GDAHA_FAMILY[args.type]
+    rep = gdaha_check(family, args.n)
+    rep = {"family": family, "legs": list(GDAHA_LEGS[args.type]), **rep}
+    return rep, 0 if rep["pass"] else 1
+
+
+def cmd_rank_one(args) -> tuple[dict, int]:
+    rep = rank_one_specialization_check()
+    return rep, 0 if rep["pass"] else 1
+
+
+def cmd_tripledot(args) -> tuple[dict, int]:
+    rep = triple_dot_report(args.n)
     statuses = [r.status for r in rep["results"].values()]
-    report = {
-        "word": rep["word"],
-        "identities": {name: _proof_json(r) for name, r in rep["results"].items()},
-        "pass": rep["pass"],
-    }
+    report = {"word": rep["word"], "identities": rep["results"],
+              "pass": rep["pass"]}
     return report, _status_exit(statuses)
 
 
 def _target_word(args):
     """The presentation (Artin group with ``--artin``) and the parsed word."""
-    pres = _build(args.family, args.n)
+    pres = build_group_presentation(args.family, args.n)
     target = artinize(pres) if args.artin else pres
     try:
         return target, parse_word(args.word, target.generator_names)
@@ -256,7 +227,7 @@ def cmd_replay(args) -> tuple[dict, int]:
 
 
 def cmd_export(args) -> tuple[dict, int]:
-    pres = _build(args.family, args.n)
+    pres = build_group_presentation(args.family, args.n)
     if args.dot:
         if pres.diagram is None:
             raise _UsageError(f"{args.family} n={args.n} has no diagram")
@@ -269,8 +240,13 @@ def cmd_export(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------
 
 
+def _json_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit a JSON report on stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crysref",
         description="Construct and verify reflection presentations, "
                     "braid isomorphisms and Hecke deformations for the "
@@ -282,9 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     def fam_rank(p):
         p.add_argument("family")
         p.add_argument("n", type=int)
-        p.add_argument("--json", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="emit a JSON report on stdout")
+        _json_flag(p)
 
     p = sub.add_parser("verify", help="check relators against the matrices")
     fam_rank(p)
@@ -313,13 +287,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("hecke", help="Hecke/GDAHA deformation checks")
-    p.add_argument("check", choices=["gdaha-check", "rank-one", "tripledot"])
-    p.add_argument("type", nargs="?",
-                   help="GDAHA diagram type for gdaha-check (D4/E6/E7/E8)")
-    p.add_argument("hecke_n", nargs="?", type=int, metavar="n")
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                   help="emit a JSON report on stdout")
-    p.set_defaults(func=cmd_hecke)
+    _json_flag(p)
+    checks = p.add_subparsers(dest="check", required=True)
+    q = checks.add_parser("gdaha-check", help="specialize a generic Hecke "
+                                              "algebra onto its GDAHA")
+    q.add_argument("type", choices=sorted(GDAHA_FAMILY),
+                   help="GDAHA diagram type")
+    q.add_argument("n", type=int)
+    q.set_defaults(func=cmd_gdaha_check)
+    q = checks.add_parser("rank-one", help="the rank-one quadratic table")
+    q.set_defaults(func=cmd_rank_one)
+    q = checks.add_parser("tripledot", help="relations of the type-A "
+                                            "triple-dot generator")
+    q.add_argument("n", type=int)
+    q.set_defaults(func=cmd_tripledot)
+    for q in checks.choices.values():
+        _json_flag(q)
 
     p = sub.add_parser("prove", help="prove a word trivial in a "
                                      "presentation")
@@ -360,17 +343,15 @@ def _plain_render(report: dict, indent: str = "") -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EX_USAGE if exc.code not in (0, None) else 0
-    start = time.perf_counter()
-    try:
+        args = build_parser().parse_args(argv)
         env_budget_scale()
-    except ValueError as exc:
+    except SystemExit:  # --help; every parse error raises _UsageError
+        return 0
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    start = time.perf_counter()
     try:
         report, code = args.func(args)
     except (_UsageError, RankOutOfRange, UnsupportedFamily) as exc:

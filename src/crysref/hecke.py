@@ -204,14 +204,9 @@ def _parameter_classes(family: str, n: int, k: int) -> tuple[list[list[int]], bo
     generator S0 joins the first class instead of getting its own."""
     if family == "A_alpha":
         return [list(range(k))], True
-    if family == "C_alpha":
-        if n == 1:
-            return [[0], [1], [2]], False
-        return [[0], list(range(1, n)), [n], [n + 1]], False
-    # G(d,1,n) towers
-    if n == 1:
-        return [[0], [1]], False
-    return [[0], list(range(1, n)), [n]], False
+    # s1, the chain s2..sn (empty at n = 1), then each node past the chain
+    classes = [[0], list(range(1, n))] + [[i] for i in range(n, k)]
+    return [c for c in classes if c], False
 
 
 def _root_name(class_rep: int, j: int) -> str:
@@ -275,6 +270,8 @@ GDAHA_LEGS = {
     "E7": (2, 4, 4),
     "E8": (3, 6, 2),
 }
+# the generic Hecke family deformed by each GDAHA diagram type
+GDAHA_FAMILY = {"D4": "C_alpha", "E6": "G311", "E7": "G411", "E8": "G611"}
 
 
 def build_gdaha(legs: Sequence[int], n: int) -> HeckePresentation:
@@ -359,32 +356,24 @@ def gdaha_parameter_map(hp: HeckePresentation, target: HeckePresentation, family
     def leg(block: int, j: int) -> LaurentPoly:
         return LaurentPoly.var(u, f"u{block}.{j}")
 
-    if family == "C_alpha" and n == 1:
-        # S1, S2, S3 ↔ U2, U3, U4; S0 ↔ U1 inverted
-        for i in (1, 2, 3):
-            for j in (1, 2):
-                assign[_root_name(i, j)] = leg(i + 1, j)
-        for j in (1, 2):
-            assign[_root_name(0, j)] = leg(1, j).inverse()
-    elif family == "A_alpha":
+    if family == "A_alpha":
         raise UnsupportedFamily("type A specializes to the triple-dot DAHA, not a GDAHA")
-    else:
-        e1 = len(hp.gen_roots[0])
-        etop = len(hp.gen_roots[k - 1])
-        for j in range(1, e1 + 1):
-            assign[_root_name(1, j)] = leg(2, j)
-        for j in range(1, etop + 1):
-            assign[_root_name(k, j)] = leg(3, j)
-        if family == "C_alpha":
-            # S(n+2) ↔ U4; the top two classes are S(n+1), S(n+2)
-            for j in (1, 2):
-                assign[_root_name(n + 1, j)] = leg(3, j)
-                assign[_root_name(n + 2, j)] = leg(4, j)
-        if n >= 2:
-            assign[_root_name(2, 1)] = t
-            assign[_root_name(2, 2)] = -t.inverse()
-        for j in range(1, len(hp.extra_roots) + 1):
-            assign[_root_name(0, j)] = leg(1, j).inverse()
+    e1 = len(hp.gen_roots[0])
+    etop = len(hp.gen_roots[k - 1])
+    for j in range(1, e1 + 1):
+        assign[_root_name(1, j)] = leg(2, j)
+    for j in range(1, etop + 1):
+        assign[_root_name(k, j)] = leg(3, j)
+    if family == "C_alpha":
+        # S(n+2) ↔ U4; the top two classes are S(n+1), S(n+2)
+        for j in (1, 2):
+            assign[_root_name(n + 1, j)] = leg(3, j)
+            assign[_root_name(n + 2, j)] = leg(4, j)
+    if n >= 2:
+        assign[_root_name(2, 1)] = t
+        assign[_root_name(2, 2)] = -t.inverse()
+    for j in range(1, len(hp.extra_roots) + 1):
+        assign[_root_name(0, j)] = leg(1, j).inverse()
     return ParameterMap(hp.universe, u, tuple(sorted(assign.items())))
 
 
@@ -490,20 +479,14 @@ def verify_specialization(
 def gdaha_family_data(family: str, n: int):
     """Wire a generic Hecke algebra to its GDAHA: presentations, the
     parameter map, and the mutually inverse braid-level generator maps."""
-    diagram = {"C_alpha": "D4", "G311": "E6", "G411": "E7", "G611": "E8"}[family]
+    diagram = {f: d for d, f in GDAHA_FAMILY.items()}[family]
     legs = GDAHA_LEGS[diagram]
     hp = build_generic_hecke(family, n)
     target = build_gdaha(legs, n)
     pm = gdaha_parameter_map(hp, target, family, n)
     hnames = hp.braid_part.generator_names
     tnames = target.braid_part.generator_names
-    if n == 1:
-        k = len(hnames)
-        fwd_imgs = tuple(Word.gen(i + 1) for i in range(k))
-        closed = Word([(i, 1) for i in range(k)])
-        bwd_imgs = (closed.inverse(),) + tuple(Word.gen(i) for i in range(k))
-    else:
-        bwd_imgs, fwd_imgs = sphere_maps(len(legs), n)
+    bwd_imgs, fwd_imgs = sphere_maps(len(legs), n)
     gen_map = GeneratorMap(hnames, tnames, fwd_imgs)
     reverse_map = GeneratorMap(tnames, hnames, bwd_imgs)
     return hp, target, pm, gen_map, reverse_map
@@ -584,8 +567,8 @@ def triple_dot_generator(n: int) -> Word:
 def triple_dot_report(n: int) -> dict:
     """Prove the displayed relations for the triple-dot generator: it
     braids with s1 and s_{n-1} and commutes with the interior chain."""
-    artin = artinize(build_group_presentation("A_alpha", n))
     x = triple_dot_generator(n)
+    artin = artinize(build_group_presentation("A_alpha", n))
     s = [Word.gen(i) for i in range(artin.num_generators)]
     relations = [
         ("braid_with_s1", s[0] * x * s[0] * (x * s[0] * x).inverse()),

@@ -64,12 +64,12 @@ def braid_isomorphism(family: str, n: int) -> BraidIsomorphism:
 
 
 def sphere_maps(legs: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
-    """Mutually inverse generator images between the braid group of n >= 2
+    """Mutually inverse generator images between the braid group of n >= 1
     points on the sphere with ``legs`` punctures (u1..u(legs), t1..t(n-1))
     and the Artin group on s1..s(n+legs-2).  ``legs`` = 4 is type C (D4),
-    ``legs`` = 3 the G(d,1,n) towers (E6/E7/E8).  Returns (to_artin,
-    to_sphere): the images of the sphere generators, then of the Artin
-    generators."""
+    ``legs`` = 3 the G(d,1,n) towers (E6/E7/E8); n = 1 gives the rank-one
+    GDAHA maps.  Returns (to_artin, to_sphere): the images of the sphere
+    generators, then of the Artin generators."""
     k = n + legs - 2
     # Artin generators s1..sk are 0-based 0..k-1; sphere generators
     # u1..u(legs) are 0..legs-1 and t1..t(n-1) are legs..legs+n-2
@@ -95,17 +95,11 @@ def _a_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIso
     sn1 = Word.gen(n)
     fwd_r = (Word.gen(n - 1),) + tuple(Word.gen(i - 1) for i in range(1, n))
     fwd_t = []
-    # t1 = (s(n-1)...s2)^-1 s(n+1) s(n-1)...s1
-    pre = _pos(*range(n - 2, 0, -1))
-    fwd_t.append(pre.inverse() * sn1 * _pos(*range(n - 2, -1, -1)))
     # t_i = (s1..s(i-1) s(n-1)..s(i+1))^-1 s(n+1) s1..s(i-1) s(n-1)..s_i
-    for i in range(2, n - 1):
+    for i in range(1, n):
         a = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 1, -1))))
         b = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 2, -1))))
         fwd_t.append(a.inverse() * sn1 * b)
-    # t(n-1) = (s1..s(n-2))^-1 s(n+1) s1..s(n-1)
-    post = _pos(*range(0, n - 2))
-    fwd_t.append(post.inverse() * sn1 * _pos(*range(0, n - 1)))
     fwd = GeneratorMap(
         braid.generator_names, artin.generator_names, fwd_r + tuple(fwd_t)
     )

@@ -304,6 +304,9 @@ def _g422_g631_presentation(family: str, n: int) -> Presentation:
 
 def build_group_presentation(family: str, n: int) -> Presentation:
     """Reflection presentation of the given family at rank n."""
+    if family not in GROUP_FAMILIES:
+        raise UnsupportedFamily(f"unknown family {family!r}; choose from "
+                                + ", ".join(GROUP_FAMILIES))
     if n < 1:
         raise RankOutOfRange(f"rank must be positive, got {n}")
     if family == "C_alpha":
@@ -318,9 +321,7 @@ def build_group_presentation(family: str, n: int) -> Presentation:
         return _g_dpn_presentation(family, n)
     if family == "G421":
         return _g421_presentation(n)
-    if family in ("G422", "G631"):
-        return _g422_g631_presentation(family, n)
-    raise UnsupportedFamily(family)
+    return _g422_g631_presentation(family, n)
 
 
 # ---------------------------------------------------------------------
@@ -461,8 +462,6 @@ def abelianize(p: Presentation) -> list[int]:
     """
     k = p.num_generators
     rows = [r.exponent_sums(k) for r in p.relators]
-    if not rows:
-        return [0] * k
     diag = smith_normal_form(rows, k)
     finite = [d for d in diag if d not in (0, 1)]
     zeros = [0] * (k - sum(1 for d in diag if d != 0))

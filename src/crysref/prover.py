@@ -270,12 +270,8 @@ def abelian_obstruction(word: Word, relators: Sequence[Word]) -> bool:
     """True when the exponent-sum vector is provably outside the relator
     lattice (a sound non-triviality witness)."""
     k = max([word.max_index()] + [r.max_index() for r in relators]) + 1
-    if k == 0:
-        return bool(word)
     target = word.exponent_sums(k)
     rows = [r.exponent_sums(k) for r in relators]
-    if not rows:
-        return any(target)
     # solve: target in row lattice?  check via SNF of rows vs rows+target
     d1 = [d for d in smith_normal_form(rows, k) if d]
     d2 = [d for d in smith_normal_form(rows + [target], k) if d]
@@ -443,10 +439,9 @@ class GeneratorMap:
                 raise ValueError("image uses undeclared target generator")
 
     def apply(self, w: Word) -> Word:
-        out = Word()
-        for g, e in w.letters:
-            out = out * (self.images[g] if e == 1 else self.images[g].inverse())
-        return out
+        return Word(letter for g, e in w.letters
+                    for letter in (self.images[g] if e == 1
+                                   else self.images[g].inverse()).letters)
 
 
 def compose_maps(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:

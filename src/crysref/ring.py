@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 
@@ -37,11 +36,6 @@ class NotAUnit(RingError):
     """Inversion was requested for a non-unit."""
 
 
-class RingMode(Enum):
-    CYCLOTOMIC = "cyclotomic"
-    FORMAL_ALPHA = "formal_alpha"
-
-
 Pair = tuple[int, int]  # (a, b) meaning a + b*w
 # u**2 reduced as  u**2 = P*u + Q, and the printed symbol, per d; d is
 # None in the formal mode, where an alpha**2 term is an error instead.
@@ -55,30 +49,28 @@ _RING_DATA = {
 
 @dataclass(frozen=True)
 class RingSpec:
-    mode: RingMode
+    """``Z[zeta_d]`` for d in {3, 4, 6}; ``d`` None is the formal ring."""
+
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode is RingMode.CYCLOTOMIC:
-            if self.d is None or self.d not in _RING_DATA:
-                raise ValueError(f"cyclotomic order must be 3, 4 or 6, got {self.d}")
-        elif self.d is not None:
-            raise ValueError("formal-alpha mode carries no cyclotomic order")
+        if self.d not in _RING_DATA:
+            raise ValueError(f"cyclotomic order must be 3, 4 or 6, got {self.d}")
 
     @classmethod
     def cyclotomic(cls, d: int) -> "RingSpec":
-        return cls(RingMode.CYCLOTOMIC, d)
+        return cls(d)
 
     @classmethod
     def formal_alpha(cls) -> "RingSpec":
-        return cls(RingMode.FORMAL_ALPHA)
+        return cls()
 
     @property
     def symbol(self) -> str:
         return _RING_DATA[self.d][2]
 
     def __repr__(self) -> str:
-        if self.mode is RingMode.FORMAL_ALPHA:
+        if self.d is None:
             return "RingSpec(FormalAlpha)"
         return f"RingSpec(Cyclotomic d={self.d})"
 
@@ -216,7 +208,7 @@ def parse_element(spec: RingSpec, text: str) -> RingElement:
 
 def all_units(spec: RingSpec) -> Iterator[RingElement]:
     """The finite unit group: ±1 (formal) or ±zeta_d powers (cyclotomic)."""
-    if spec.mode is RingMode.FORMAL_ALPHA:
+    if spec.d is None:
         yield spec.one()
         yield -spec.one()
         return

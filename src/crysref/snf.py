@@ -17,9 +17,9 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[int]:
     Returns ``min(len(rows), width)`` entries ``d1 | d2 | ...`` (zeros at
     the end), all non-negative.
     """
-    m = [list(r) for r in rows]
-    if len(m) == 0 or width == 0:
-        return []
+    # an all-zero row adds nothing to the lattice: braid and commutation
+    # relators have zero exponent sums
+    m = [list(r) for r in rows if any(r)]
     nrows, ncols = len(m), width
     diag: list[int] = []
     top = 0
@@ -66,7 +66,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[int]:
                 break
         diag.append(abs(m[top][top]))
         top += 1
-    diag += [0] * (min(nrows, ncols) - len(diag))
+    diag += [0] * (min(len(rows), ncols) - len(diag))
     # enforce the divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

@@ -54,10 +54,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.letters * k)
 
     def conjugate_by(self, w: "Word") -> "Word":
         """w · self · w⁻¹."""

@@ -53,12 +53,26 @@ def test_unknown_family_is_usage_error(capsys):
     assert code == 64
 
 
-def test_unknown_subcommand_is_usage_error(capsys):
-    # argparse exits from inside parse_args on a bad subcommand choice;
-    # main converts that to 64
-    code = main(["frobnicate"])
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ("frobnicate",),
+    ("verify", "C_alpha", "abc"),
+    ("verify",),
+    (),
+], ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_argparse_error_is_usage_error(capsys, argv):
+    # argparse's own errors take the same one-line path as the library's
+    code, out, err = run(capsys, *argv)
     assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("hecke", "--help"),
+                                  ("hecke", "tripledot", "--help")], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: crysref") and err == ""
 
 
 def test_abelianize_output(capsys):
@@ -95,6 +109,8 @@ def test_classes_without_enumeration_is_usage_error(capsys, family):
     ("tripledot",),
     ("rank-one", "D4", "3"),
     ("rank-one", "D4"),
+    ("gdaha-check", "D9", "2"),
+    ("tripledot", "x"),
 ], ids=" ".join)
 def test_hecke_wrong_argument_count_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "hecke", *argv)

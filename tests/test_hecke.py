@@ -15,6 +15,7 @@ from crysref.hecke import (
     build_generic_hecke,
     degeneration_check,
     gdaha_check,
+    gdaha_family_data,
     hecke_to_text,
     rank_one_specialization_check,
     triple_dot_generator,
@@ -156,6 +157,68 @@ def test_gdaha_certificates_are_pinned(family, n):
 def test_triple_dot_certificates_are_pinned(n):
     results = triple_dot_report(n)["results"]
     assert _digest(sorted(results.items())) == TRIPLE_DOT_DIGESTS[n]
+
+
+def _map_lines(m):
+    return [f"{src} -> {img.text(m.target_names)}\n"
+            for src, img in zip(m.source_names, m.images)]
+
+
+# SHA-256 of the generator images both ways, the parameter assignments and
+# the text of both presentations, recorded before the rank-one GDAHA maps
+# and parameter classes were left to the general construction.
+GDAHA_FAMILY_DATA_DIGESTS = {
+    ("C_alpha", 1):
+        "579368614e09a306336fbeeba104bdbfaf9d058a8cd016c6f105b9943e4824a6",
+    ("C_alpha", 2):
+        "fde4d96aef7172ebf32b70ec66a01db11495069879a8b6070e35c51736fd23ab",
+    ("C_alpha", 3):
+        "ee809e07eb507ba5d96706aeeb0bb4eed5e65296068ea709246b6bdfd338999b",
+    ("C_alpha", 4):
+        "d9b1a20d52bfb2a84acd51c098aa46bf119a012c6905cb4bee442d52ec4008eb",
+    ("C_alpha", 5):
+        "1501fd46fc83b4c4e2a3025320ea032413d813f0e3ea6d320280eeef0450cd97",
+    ("G311", 1):
+        "a508446403c66ff665c24d3f4149d4c04ab78b72c6c8afae0dfad606232072a1",
+    ("G311", 2):
+        "6b476a61929770745df8c3299a8c6f304a9048cdb611fc01166cf7d2adc48439",
+    ("G311", 3):
+        "7b9654def7fd91a60b84e95863800f2f6241654614a8ea5e6c54b30f460eff37",
+    ("G311", 4):
+        "abecea1514288b6c0e239d0e5e44ac0800487cdf6001dcb3bcab5c95cc665dd5",
+    ("G311", 5):
+        "c339cc5009508b01e142a608dd83f681512871f798f43e1eb223715bb84fe2fd",
+    ("G411", 1):
+        "8d56a2e9b2c4dba2cc3c7eab093efab0c8bf02ea42a0b5a8980c877485f2488f",
+    ("G411", 2):
+        "4aae344362c70aa1653d54843258b384f1f1312968ff5f9c2c7a6698ccbc3600",
+    ("G411", 3):
+        "57eadde84dbbb9649ddcad5db2a8eb9d67e2ff01d87c077191af4efbb2c729c1",
+    ("G411", 4):
+        "dc52f01bda6a9cb13729a0d923e67874b07b92905b6973d8e6ba7fdfb42452c9",
+    ("G411", 5):
+        "0314294f870e894a8ba80b0444bdf6ba9af671f03fcdaa300b941328d5d32437",
+    ("G611", 1):
+        "4544ef552a73ecb86010b853288ecac040ee7b83c1be375cdc0efb9a78e03db0",
+    ("G611", 2):
+        "579edba8e058cdcbaeb284a3aea1f6ddf3772eb220afe78ce26614812461f0e8",
+    ("G611", 3):
+        "dbde55902b553993fa52b2444924f44a0808cc69febf64f1982ccf05825ae437",
+    ("G611", 4):
+        "7f19e4919456c2f4e9909d2dd0a00eb285948eb805ebf9f488f5aedcff3a2591",
+    ("G611", 5):
+        "ad54e7373d1ab9264ca179011f0ad744112f471e99a20b4cb362f5fc6277b4a3",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(GDAHA_FAMILY_DATA_DIGESTS), ids=str)
+def test_gdaha_family_data_is_pinned(family, n):
+    hp, target, pm, gen_map, reverse_map = gdaha_family_data(family, n)
+    lines = _map_lines(gen_map) + _map_lines(reverse_map)
+    lines += [f"{name} = {poly}\n" for name, poly in pm.assignments]
+    text = "".join(lines) + hecke_to_text(hp) + hecke_to_text(target)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GDAHA_FAMILY_DATA_DIGESTS[family, n]
 
 
 def test_rank_one_table():

@@ -149,3 +149,47 @@ def test_isomorphism_certificates_are_pinned(family, n, mode):
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == CERTIFICATE_DIGESTS[family, n, mode]
+
+
+# SHA-256 of the generator images both ways, recorded before the end
+# generators of the type-A map were left to the general formula.
+BRAID_MAP_DIGESTS = {
+    ("A_alpha", 3):
+        "cada5a9e77f20c5a92a11d20689e8571e1984849189b4e0c9eda4ca413c9e8b3",
+    ("A_alpha", 4):
+        "2688f9054364a662775fb47523298b600b7d3b8e12ed1b882a6ba75d74ed7b6a",
+    ("A_alpha", 5):
+        "e84fcd2acf9671c07c7a54e3dfdfca325ab3e1bd970747027df6ab8ed51a2624",
+    ("A_alpha", 6):
+        "75683c222333f9e8abae7358c4b0744dae26626da381ff7a83af525aa5c4e64c",
+    ("A_alpha", 7):
+        "8ffbc269d923b3ac33456e1114d6203742870ddfa8824f52ccedf607f71fe572",
+    ("A_alpha", 8):
+        "576777d36a2b085f22053b1706c55923c082b18c7f0915225334bad0bde4f7e6",
+    ("C_alpha", 1):
+        "ce5836b165850298f8af153b688946b8f9e9a41114e4011f98d453dc270d953d",
+    ("C_alpha", 2):
+        "12ef0cd5188ac7ca3f5560160b6afc7565668fa09a22a51e9b4bc395693590f3",
+    ("C_alpha", 3):
+        "b166b01154092c200dfd1f9be05236a57be4814dd67748dc2171aca3fd202bf4",
+    ("C_alpha", 4):
+        "017bf01a350ffec04b9fd2655c5d666e969d5bc81d7874842e64f34702a3eb9a",
+    ("C_alpha", 5):
+        "daeff7da1466d4eab09088b9defb080d6932ef490778453a71c88fa96e02fa91",
+    ("C_alpha", 6):
+        "a5ba3b5482695beb65e7b7395bcad2c2bebc8312d436ed861c90088d3ae865cb",
+    ("C_alpha", 7):
+        "86865e11e4cc60cf08e0b247aa66786e16e58f43f12ed89853f5e8aa87f46020",
+    ("C_alpha", 8):
+        "33d34b51b674bc560c93118a732bf036a2557b53f6e3804b45342e619817f6cb",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(BRAID_MAP_DIGESTS), ids=str)
+def test_braid_isomorphism_images_are_pinned(family, n):
+    iso = braid_isomorphism(family, n)
+    text = "".join(f"{src} -> {img.text(m.target_names)}\n"
+                   for m in (iso.fwd, iso.bwd)
+                   for src, img in zip(m.source_names, m.images))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == BRAID_MAP_DIGESTS[family, n]

@@ -23,7 +23,7 @@ coef = st.integers(min_value=-50, max_value=50)
 
 
 def elements(spec):
-    if spec.mode.value == "formal_alpha":
+    if spec.d is None:
         # keep triples multipliable: at most one coordinate carries alpha
         return st.one_of(
             st.builds(lambda a: spec.el(a), coef),

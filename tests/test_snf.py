@@ -2,7 +2,7 @@
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crysref.snf import smith_normal_form as my_snf
 
@@ -23,13 +23,19 @@ def oracle(rows, width):
         lambda w: st.tuples(
             st.just(w),
             st.lists(
-                st.lists(st.integers(min_value=-6, max_value=6),
-                         min_size=w, max_size=w),
+                # all-zero rows interleaved, as braid relators give them
+                st.one_of(
+                    st.just([0] * w),
+                    st.lists(st.integers(min_value=-6, max_value=6),
+                             min_size=w, max_size=w),
+                ),
                 max_size=6,
             ),
         )
     )
 )
+@example((3, [[0, 0, 0], [2, 4, 0], [0, 0, 0], [0, 6, 3], [0, 0, 0]]))
+@example((2, [[0, 0], [0, 0], [0, 0]]))
 def test_matches_sympy(case):
     width, rows = case
     assert my_snf(rows, width) == oracle(rows, width)
