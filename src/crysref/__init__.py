@@ -13,7 +13,6 @@ from .presentations import (
     UnsupportedFamily,
     abelianize,
     artinize,
-    build_braid_presentation,
     build_group_presentation,
     diagram_to_dot,
     presentation_from_text,

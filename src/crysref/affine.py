@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Sequence
 
-from .presentations import RankOutOfRange, UnsupportedFamily
+from .presentations import UnsupportedFamily, build_group_presentation
 from .ring import Pair, RingElement, RingSpec, SpecMismatchError
 from .words import Word
 
@@ -195,28 +195,23 @@ def build_generator_matrices(
     family: str, n: int
 ) -> tuple[RingSpec, tuple[AffineElement, ...]]:
     """Affine matrices realizing the reflection presentation generators:
-    the transpositions of the chain, plus the first and last nodes."""
+    the transpositions of the chain, plus the first and last nodes.
+
+    The linear entries of the first and the top node come from the node
+    orders of ``build_group_presentation``: a node of order 2 gets -1, a
+    node of order d gets ζ, and a G family works over Z[ζ_d] for the
+    first node's order d."""
     if family not in MATRIX_FAMILIES:
         raise UnsupportedFamily(f"no matrix representation for {family!r}; "
                                 "choose from " + ", ".join(MATRIX_FAMILIES))
-    if family == "A_alpha" and n < 2:
-        raise RankOutOfRange("type A needs n >= 2")
-    if n < 1:
-        raise RankOutOfRange(
-            "type C needs n >= 1" if family == "C_alpha" else "need n >= 1"
-        )
-    # first and top: the linear entries of the first and the last node;
-    # shifts: the translations of the last node (both ends for type A)
+    orders = build_group_presentation(family, n).generator_orders
     one, zeta = (1, 0), (0, 1)  # zeta is alpha in the formal mode
+    first, top = ((-1, 0) if d == 2 else zeta for d in (orders[0], orders[-1]))
+    # shifts: the translations of the last node (both ends for type A)
     if family in ("A_alpha", "C_alpha"):
-        spec = RingSpec.formal_alpha()
-        first, top, shifts = (-1, 0), (-1, 0), (one, zeta)
+        spec, shifts = RingSpec.formal_alpha(), (one, zeta)
     else:
-        d = {"G311": 3, "G411": 4, "G611": 6}[family]
-        spec = RingSpec.cyclotomic(d)
-        # the affine-node linear entry: a root of unity whose order is the
-        # order label of the top node
-        first, top, shifts = zeta, zeta if d in (3, 4) else (-1, 0), (one,)
+        spec, shifts = RingSpec(orders[0]), (one,)
     zero = ((0, 0),) * n
     chain = [
         AffineElement(spec, *_signed_transposition(n, i, i + 1), zero)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from .affine import MATRIX_FAMILIES, build_generator_matrices, evaluate_word
 from .isomorphisms import sphere_maps
 from .presentations import (
     Presentation,
@@ -165,7 +166,9 @@ def monic_from_roots(x: LaurentPoly, roots: Sequence[LaurentPoly]) -> LaurentPol
 class HeckePresentation:
     """Artin-type braid part plus the deformation data: per generator the
     unit-monomial roots of its monic characteristic polynomial, and the
-    distinguished extra generator (S0-style) given as a word."""
+    distinguished extra generator (S0-style) given as a word.  The
+    parameter classes are the generator indices sharing one root list;
+    index -1 is S0."""
 
     braid_part: Presentation
     universe: tuple[str, ...]
@@ -180,33 +183,25 @@ class HeckePresentation:
 
     @property
     def parameter_pair_count(self) -> int:
-        return len(self.parameter_classes) + (1 if self._extra_own_class() else 0)
+        return len(self.parameter_classes)
 
-    def _extra_own_class(self) -> bool:
-        if not self.extra_roots:
-            return False
-        return all(
-            tuple(self.extra_roots) != tuple(self.gen_roots[c[0]])
-            for c in self.parameter_classes
-        )
+    def roots(self, g: int) -> tuple[LaurentPoly, ...]:
+        """The roots of generator g; g = -1 is S0."""
+        return self.extra_roots if g < 0 else self.gen_roots[g]
 
 
 # ---------------------------------------------------------------------
 # generic Hecke algebras
 
-# per family: a function n -> list of generator-index classes (0-based),
-# with the extra generator included as index -1 when it shares a class
-_HECKE_FAMILIES = ("A_alpha", "C_alpha", "G311", "G411", "G611")
 
-
-def _parameter_classes(family: str, n: int, k: int) -> tuple[list[list[int]], bool]:
-    """Generator classes (hyperplane orbits) and whether the extra
-    generator S0 joins the first class instead of getting its own."""
+def _parameter_classes(family: str, n: int, k: int) -> list[list[int]]:
+    """Generator classes (hyperplane orbits), 0-based, with S0 as index
+    -1: in type A it joins the one class, elsewhere it has its own."""
     if family == "A_alpha":
-        return [list(range(k))], True
-    # s1, the chain s2..sn (empty at n = 1), then each node past the chain
-    classes = [[0], list(range(1, n))] + [[i] for i in range(n, k)]
-    return [c for c in classes if c], False
+        return [list(range(k)) + [-1]]
+    # s1, the chain s2..sn (empty at n = 1), each node past the chain, S0
+    classes = [[0], list(range(1, n))] + [[i] for i in range(n, k)] + [[-1]]
+    return [c for c in classes if c]
 
 
 def _root_name(class_rep: int, j: int) -> str:
@@ -216,7 +211,7 @@ def _root_name(class_rep: int, j: int) -> str:
 def build_generic_hecke(family: str, n: int) -> HeckePresentation:
     """Generic Hecke algebra data of the given family: capitalized Artin
     part, char-poly roots shared along hyperplane classes, S0 word."""
-    if family not in _HECKE_FAMILIES:
+    if family not in MATRIX_FAMILIES:
         raise UnsupportedFamily(
             f"no generic Hecke construction wired for {family}"
         )
@@ -224,36 +219,25 @@ def build_generic_hecke(family: str, n: int) -> HeckePresentation:
     artin = artinize(group)
     names = tuple("S" + nm[1:] for nm in artin.generator_names)
     braid = Presentation(names, artin.generator_orders, artin.relators)
-    orders = group.generator_orders
     base, _ = group.extra_order_relation
-    # order of the distinguished reflection sigma_0 (the element order of
-    # the base word, not the exponent of the extra relation)
-    e0 = {"A_alpha": 2, "C_alpha": 2, "G311": 3, "G411": 2, "G611": 3}[family]
-    classes, extra_shares = _parameter_classes(family, n, len(names))
+    classes = _parameter_classes(family, n, len(names))
     universe: list[str] = []
     class_roots: list[list[str]] = []
     for cl in classes:
-        rep, e = cl[0] + 1, orders[cl[0]]
-        rs = [_root_name(rep, j) for j in range(1, e + 1)]
-        class_roots.append(rs)
-        universe.extend(rs)
-    if extra_shares:
-        extra_root_names = class_roots[0]
-    else:
-        extra_root_names = [_root_name(0, j) for j in range(1, e0 + 1)]
-        universe.extend(extra_root_names)
+        # one root per element order: the node order, or for S0 the first
+        # leg of its GDAHA (not the exponent of the extra relation)
+        e = _gdaha_legs(family)[0] if cl[0] < 0 else group.generator_orders[cl[0]]
+        class_roots.append([_root_name(cl[0] + 1, j) for j in range(1, e + 1)])
+        universe += class_roots[-1]
     u = tuple(universe)
-    gen_roots: list[tuple[LaurentPoly, ...]] = [()] * len(names)
-    for cl, rs in zip(classes, class_roots):
-        roots = tuple(LaurentPoly.var(u, r) for r in rs)
-        for g in cl:
-            gen_roots[g] = roots
+    roots = {g: tuple(LaurentPoly.var(u, r) for r in rs)
+             for cl, rs in zip(classes, class_roots) for g in cl}
     return HeckePresentation(
         braid_part=braid,
         universe=u,
-        gen_roots=tuple(gen_roots),
+        gen_roots=tuple(roots[g] for g in range(len(names))),
         extra_word=base,
-        extra_roots=tuple(LaurentPoly.var(u, r) for r in extra_root_names),
+        extra_roots=roots[-1],
         parameter_classes=tuple(tuple(cl) for cl in classes),
     )
 
@@ -263,7 +247,8 @@ def build_generic_hecke(family: str, n: int) -> HeckePresentation:
 
 # leg lists ordered so that U1 matches the distinguished S0 generator,
 # U2 matches S1, U3 matches S(n+1) (and U4 matches S(n+2) in the
-# four-legged case)
+# four-legged case).  The first leg is the order of sigma_0, which
+# build_generic_hecke reads as the root count of S0.
 GDAHA_LEGS = {
     "D4": (2, 2, 2, 2),
     "E6": (3, 3, 3),
@@ -272,6 +257,17 @@ GDAHA_LEGS = {
 }
 # the generic Hecke family deformed by each GDAHA diagram type
 GDAHA_FAMILY = {"D4": "C_alpha", "E6": "G311", "E7": "G411", "E8": "G611"}
+
+
+def _gdaha_legs(family: str) -> tuple[int, ...]:
+    """The leg lengths of the GDAHA diagram that ``family`` deforms into."""
+    for diagram, f in GDAHA_FAMILY.items():
+        if f == family:
+            return GDAHA_LEGS[diagram]
+    if family == "A_alpha":
+        raise UnsupportedFamily("type A specializes to the triple-dot DAHA, not a GDAHA")
+    raise UnsupportedFamily(f"no GDAHA for {family!r}; choose from "
+                            + ", ".join(GDAHA_FAMILY.values()))
 
 
 def build_gdaha(legs: Sequence[int], n: int) -> HeckePresentation:
@@ -344,36 +340,26 @@ class ParameterMap:
         return out
 
 
-def gdaha_parameter_map(hp: HeckePresentation, target: HeckePresentation, family: str, n: int) -> ParameterMap:
+def gdaha_parameter_map(hp: HeckePresentation, target: HeckePresentation, n: int) -> ParameterMap:
     """The specialization of the generic Hecke parameters onto GDAHA
-    parameters: middle pairs onto (t, −t⁻¹), end classes onto the u-leg
-    parameters (inverted for the S0 class)."""
+    parameters: the chain class s2..sn onto (t, −t⁻¹), and S0's class,
+    s1's class and the classes past the chain, in that order, onto the
+    legs U1, U2, ... (inverted for S0)."""
     u = target.universe
     t = LaurentPoly.var(u, "t")
+    chain = tuple(range(1, n))
     assign: dict[str, LaurentPoly] = {}
-    k = hp.braid_part.num_generators
-
-    def leg(block: int, j: int) -> LaurentPoly:
-        return LaurentPoly.var(u, f"u{block}.{j}")
-
-    if family == "A_alpha":
-        raise UnsupportedFamily("type A specializes to the triple-dot DAHA, not a GDAHA")
-    e1 = len(hp.gen_roots[0])
-    etop = len(hp.gen_roots[k - 1])
-    for j in range(1, e1 + 1):
-        assign[_root_name(1, j)] = leg(2, j)
-    for j in range(1, etop + 1):
-        assign[_root_name(k, j)] = leg(3, j)
-    if family == "C_alpha":
-        # S(n+2) ↔ U4; the top two classes are S(n+1), S(n+2)
-        for j in (1, 2):
-            assign[_root_name(n + 1, j)] = leg(3, j)
-            assign[_root_name(n + 2, j)] = leg(4, j)
-    if n >= 2:
-        assign[_root_name(2, 1)] = t
-        assign[_root_name(2, 2)] = -t.inverse()
-    for j in range(1, len(hp.extra_roots) + 1):
-        assign[_root_name(0, j)] = leg(1, j).inverse()
+    leg = 0
+    for cl in sorted(hp.parameter_classes):  # S0's class (-1,) first
+        if cl == chain:
+            images = [t, -t.inverse()]
+        else:
+            leg += 1
+            images = [LaurentPoly.var(u, f"u{leg}.{j}")
+                      for j in range(1, len(hp.roots(cl[0])) + 1)]
+            if cl[0] < 0:
+                images = [x.inverse() for x in images]
+        assign.update((_root_name(cl[0] + 1, j), x) for j, x in enumerate(images, 1))
     return ParameterMap(hp.universe, u, tuple(sorted(assign.items())))
 
 
@@ -394,6 +380,16 @@ def _proportional_by_unit(
     return m if (p - m * q).is_zero() else None
 
 
+def _charpoly_match(x, roots, y, target_roots) -> dict:
+    """Whether ∏ (x − r) over roots is ∏ (y − r) over target_roots times a
+    unit monomial; the difference of the two is reported only if not."""
+    p, q = monic_from_roots(x, roots), monic_from_roots(y, target_roots)
+    unit = _proportional_by_unit(p, q)
+    if unit is None:
+        return {"pass": False, "unit_factor": None, "difference": str(p - q)}
+    return {"pass": True, "unit_factor": str(unit)}
+
+
 def specialized_charpoly_check(
     hp: HeckePresentation,
     pm: ParameterMap,
@@ -407,27 +403,19 @@ def specialized_charpoly_check(
     g, e = tgt_letter
     tname = target.braid_part.generator_names[g]
     universe = (tname,) + target.universe
-    x = LaurentPoly.var(universe, tname, e)
-    roots = hp.extra_roots if src_gen < 0 else hp.gen_roots[src_gen]
-    specialized = monic_from_roots(
-        x, [pm.apply_root(r).cast(universe) for r in roots]
-    )
-    tgt_poly = monic_from_roots(
-        LaurentPoly.var(universe, tname), [r.cast(universe) for r in target.gen_roots[g]]
-    )
-    unit = _proportional_by_unit(specialized, tgt_poly)
     src_name = (
         "S0" if src_gen < 0 else hp.braid_part.generator_names[src_gen]
     )
-    out = {
+    return {
         "source": src_name,
         "target": tname + ("" if e == 1 else "^-1"),
-        "pass": unit is not None,
-        "unit_factor": None if unit is None else str(unit),
+        **_charpoly_match(
+            LaurentPoly.var(universe, tname, e),
+            [pm.apply_root(r) for r in hp.roots(src_gen)],
+            LaurentPoly.var(universe, tname),
+            target.gen_roots[g],
+        ),
     }
-    if unit is None:
-        out["difference"] = str(specialized - tgt_poly)
-    return out
 
 
 def verify_specialization(
@@ -479,11 +467,10 @@ def verify_specialization(
 def gdaha_family_data(family: str, n: int):
     """Wire a generic Hecke algebra to its GDAHA: presentations, the
     parameter map, and the mutually inverse braid-level generator maps."""
-    diagram = {f: d for d, f in GDAHA_FAMILY.items()}[family]
-    legs = GDAHA_LEGS[diagram]
+    legs = _gdaha_legs(family)
     hp = build_generic_hecke(family, n)
     target = build_gdaha(legs, n)
-    pm = gdaha_parameter_map(hp, target, family, n)
+    pm = gdaha_parameter_map(hp, target, n)
     hnames = hp.braid_part.generator_names
     tnames = target.braid_part.generator_names
     bwd_imgs, fwd_imgs = sphere_maps(len(legs), n)
@@ -530,20 +517,15 @@ def rank_one_specialization_check(substitutions=RANK_ONE_SUBSTITUTIONS) -> dict:
     for i in range(4):
         tj = LaurentPoly.var(universe, f"T{i + 1}")
         tparam = LaurentPoly.var(universe, f"t{i + 1}1")
-        target = (tj - tparam) * (tj + tparam.inverse())
         image = q * tj.inverse() if i == 0 else tj
-        roots = [table[f"s{i}.{j}"] for j in (1, 2)]
-        specialized = (image - roots[0]) * (image - roots[1])
-        unit = _proportional_by_unit(specialized, target)
-        results.append(
-            {
-                "generator": "S0" if i == 0 else f"S{i}",
-                "target": f"T{i + 1}",
-                "pass": unit is not None,
-                "unit_factor": None if unit is None else str(unit),
-                "difference": None if unit is not None else str(specialized - target),
-            }
-        )
+        row = {
+            "generator": "S0" if i == 0 else f"S{i}",
+            "target": f"T{i + 1}",
+            **_charpoly_match(image, [table[f"s{i}.{j}"] for j in (1, 2)],
+                              tj, [tparam, -tparam.inverse()]),
+        }
+        row.setdefault("difference", None)
+        results.append(row)
     return {"pass": all(r["pass"] for r in results), "results": results}
 
 
@@ -601,8 +583,6 @@ def degeneration_check(family: str, n: int) -> bool:
     characteristic polynomial of a generator with e roots annihilates the
     homogenized matrix g exactly when g^e = 1.
     """
-    from .affine import build_generator_matrices, evaluate_word
-
     _, gens = build_generator_matrices(family, n)
     hp = build_generic_hecke(family, n)
     pairs = list(zip(gens, hp.gen_roots))

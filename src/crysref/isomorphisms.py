@@ -11,8 +11,9 @@ from .presentations import (
     RankOutOfRange,
     UnsupportedFamily,
     artinize,
-    build_braid_presentation,
     build_group_presentation,
+    punctured_sphere_braid,
+    special_torus_braid,
 )
 from .prover import GeneratorMap
 from .words import Word
@@ -47,20 +48,20 @@ def _pos(*idxs: int) -> Word:
 
 
 def braid_isomorphism(family: str, n: int) -> BraidIsomorphism:
-    space, m = braid_space_for(family, n)
-    braid = build_braid_presentation(space, m)
+    space, _ = braid_space_for(family, n)
     artin = artinize(build_group_presentation(family, n))
     if space == "FreeRank3":
-        idmap = tuple(Word.gen(i) for i in range(3))
-        fwd = GeneratorMap(braid.generator_names, artin.generator_names, idmap)
-        bwd = GeneratorMap(artin.generator_names, braid.generator_names, idmap)
-        return BraidIsomorphism(braid, artin, fwd, bwd)
-    if family == "C_alpha":
-        to_artin, to_sphere = sphere_maps(4, n)
-        fwd = GeneratorMap(braid.generator_names, artin.generator_names, to_artin)
-        bwd = GeneratorMap(artin.generator_names, braid.generator_names, to_sphere)
-        return BraidIsomorphism(braid, artin, fwd, bwd)
-    return _a_isomorphism(braid, artin, n)
+        braid = Presentation(("u1", "u2", "u3"), (None,) * 3, ())
+        to_artin = to_braid = tuple(Word.gen(i) for i in range(3))
+    elif space == "PuncturedSphere4":
+        braid = punctured_sphere_braid(4, n)
+        to_artin, to_braid = sphere_maps(4, n)
+    else:
+        braid = special_torus_braid(n)
+        to_artin, to_braid = _a_maps(n)
+    fwd = GeneratorMap(braid.generator_names, artin.generator_names, to_artin)
+    bwd = GeneratorMap(artin.generator_names, braid.generator_names, to_braid)
+    return BraidIsomorphism(braid, artin, fwd, bwd)
 
 
 def sphere_maps(legs: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
@@ -89,7 +90,9 @@ def sphere_maps(legs: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     return to_artin, to_sphere
 
 
-def _a_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIsomorphism:
+def _a_maps(n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
+    """(to_artin, to_torus) between the special torus braid group of n
+    points and the type-A Artin group at rank n."""
     # Artin generators s1..s(n+1) = 0..n; braid r0..r(n-1) = 0..n-1,
     # t1..t(n-1) = n..2n-2
     sn1 = Word.gen(n)
@@ -100,9 +103,6 @@ def _a_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIso
         a = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 1, -1))))
         b = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 2, -1))))
         fwd_t.append(a.inverse() * sn1 * b)
-    fwd = GeneratorMap(
-        braid.generator_names, artin.generator_names, fwd_r + tuple(fwd_t)
-    )
     # bwd: s_i -> r_i (i < n), s_n -> r0,
     # s(n+1) -> r(n-1)...r2 t1 r1^-1 r2^-1 ... r(n-1)^-1
     conj = _pos(*range(n - 1, 1, -1))
@@ -113,5 +113,4 @@ def _a_isomorphism(braid: Presentation, artin: Presentation, n: int) -> BraidIso
             conj * Word.gen(n) * Word.gen(1).inverse() * conj.inverse(),
         )
     )
-    bwd = GeneratorMap(artin.generator_names, braid.generator_names, bwd_images)
-    return BraidIsomorphism(artin=artin, braid=braid, fwd=fwd, bwd=bwd)
+    return fwd_r + tuple(fwd_t), bwd_images

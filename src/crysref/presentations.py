@@ -403,22 +403,6 @@ def special_torus_braid(n: int) -> Presentation:
     return Presentation(names, (None,) * k, tuple(rels))
 
 
-def build_braid_presentation(space: str, n: int) -> Presentation:
-    if space == "PuncturedSphere4":
-        if n < 2:
-            raise RankOutOfRange("the four-punctured sphere space needs n >= 2")
-        return punctured_sphere_braid(4, n)
-    if space == "TorusSpecial":
-        if n < 2:
-            raise RankOutOfRange("the toric space needs n >= 2")
-        return special_torus_braid(n)
-    if space == "FreeRank3":
-        if n != 1:
-            raise RankOutOfRange("the free rank-3 case is the n = 1 braid group")
-        return Presentation(("u1", "u2", "u3"), (None,) * 3, ())
-    raise UnsupportedFamily(space)
-
-
 # ---------------------------------------------------------------------
 # Artin groups, abelianization, rendering
 

@@ -42,10 +42,12 @@ def test_verify_extra_order(capsys):
     assert rep["extra_order"]["order"] == 2
 
 
-def test_verify_invalid_rank_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "C_alpha", "0")
+@pytest.mark.parametrize("command", ["verify", "classes"])
+def test_verify_invalid_rank_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "C_alpha", "0")
     assert code == 64
-    assert "rank" in err
+    assert out == ""
+    assert err == "error: rank must be positive, got 0\n"
 
 
 def test_unknown_family_is_usage_error(capsys):

@@ -21,6 +21,7 @@ from crysref.hecke import (
     triple_dot_generator,
     triple_dot_report,
 )
+from crysref.presentations import UnsupportedFamily
 from crysref.prover import ProofStatus
 
 UNI = ("x", "y")
@@ -88,10 +89,11 @@ def test_generic_hecke_builds(family, n):
 def test_parameter_pair_counts():
     # pairs = generator conjugacy classes of the diagram, plus one for
     # the distinguished S0 word when it carries its own parameters
-    assert build_generic_hecke("A_alpha", 3).parameter_pair_count == 1
-    assert build_generic_hecke("C_alpha", 1).parameter_pair_count == 4
-    assert build_generic_hecke("C_alpha", 2).parameter_pair_count == 5
-    assert build_generic_hecke("G311", 2).parameter_pair_count == 4
+    expected = {("A_alpha", 3): 1, ("C_alpha", 1): 4, ("C_alpha", 2): 5,
+                ("C_alpha", 3): 5, ("G311", 2): 4, ("G411", 1): 3,
+                ("G411", 2): 4, ("G611", 1): 3, ("G611", 2): 4}
+    for (family, n), count in expected.items():
+        assert build_generic_hecke(family, n).parameter_pair_count == count, family
 
 
 def test_gdaha_legs():
@@ -219,6 +221,16 @@ def test_gdaha_family_data_is_pinned(family, n):
     text = "".join(lines) + hecke_to_text(hp) + hecke_to_text(target)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GDAHA_FAMILY_DATA_DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("family,message", [
+    ("A_alpha", "type A specializes to the triple-dot DAHA, not a GDAHA"),
+    ("G412", "no GDAHA for 'G412'; choose from C_alpha, G311, G411, G611"),
+], ids=["A_alpha", "G412"])
+def test_gdaha_needs_a_gdaha_family(family, message):
+    with pytest.raises(UnsupportedFamily) as info:
+        gdaha_check(family, 3)
+    assert str(info.value) == message
 
 
 def test_rank_one_table():

@@ -16,7 +16,6 @@ from crysref.presentations import (
     abelianize,
     artinize,
     braid_relator,
-    build_braid_presentation,
     build_group_presentation,
     comm_relator,
     diagram_to_dot,
@@ -198,13 +197,6 @@ def test_torus_pushrelations():
               "r0 t3 r0 t1 t2"):
         from crysref.words import parse_word
         assert parse_word(t, names).cyclic_normal_form() in texts
-
-
-def test_build_braid_presentation_dispatch():
-    assert build_braid_presentation("PuncturedSphere4", 3).generator_names[0] == "u1"
-    assert build_braid_presentation("TorusSpecial", 3).generator_names[0] == "r0"
-    free = build_braid_presentation("FreeRank3", 1)
-    assert free.num_generators == 3 and not free.relators
 
 
 def test_diagram_x_lace_unique():
