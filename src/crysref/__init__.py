@@ -15,7 +15,6 @@ from .presentations import (
     artinize,
     build_group_presentation,
     diagram_to_dot,
-    presentation_from_text,
     presentation_to_text,
     punctured_sphere_braid,
     special_torus_braid,

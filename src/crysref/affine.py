@@ -209,7 +209,7 @@ def build_generator_matrices(
     first, top = ((-1, 0) if d == 2 else zeta for d in (orders[0], orders[-1]))
     # shifts: the translations of the last node (both ends for type A)
     if family in ("A_alpha", "C_alpha"):
-        spec, shifts = RingSpec.formal_alpha(), (one, zeta)
+        spec, shifts = RingSpec(), (one, zeta)
     else:
         spec, shifts = RingSpec(orders[0]), (one,)
     zero = ((0, 0),) * n

@@ -294,11 +294,12 @@ def build_gdaha(legs: Sequence[int], n: int) -> HeckePresentation:
         )
     for _ in range(n - 1):
         gen_roots.append((t, -t.inverse()))
+    chain = tuple(range(m, m + n - 1))  # T1..T(n-1) share (t, -t^-1)
     return HeckePresentation(
         braid_part=braid,
         universe=u,
         gen_roots=tuple(gen_roots),
-        parameter_classes=tuple((i,) for i in range(len(names))),
+        parameter_classes=tuple((k,) for k in range(m)) + ((chain,) if chain else ()),
     )
 
 
@@ -423,43 +424,34 @@ def verify_specialization(
     pm: ParameterMap,
     target: HeckePresentation,
     gen_map: GeneratorMap,
-    reverse_map: Optional[GeneratorMap] = None,
+    reverse_map: GeneratorMap,
 ) -> dict:
     """The three-level correspondence check: braid relators (prover),
     char polys (Laurent identities), and S0-vs-U1 closedness matching."""
     report: dict = {"checks": {}}
     # (1) braid level
-    fwd = verify_homomorphism(
-        gen_map, hp.braid_part.relators, target.braid_part.relators
-    )
-    braid_ok = all(r.status is ProofStatus.PROVED for r in fwd)
-    braid_results = {"fwd": fwd}
-    if reverse_map is not None:
-        bwd = verify_homomorphism(
-            reverse_map, target.braid_part.relators, hp.braid_part.relators
-        )
-        braid_ok = braid_ok and all(r.status is ProofStatus.PROVED for r in bwd)
-        braid_results["bwd"] = bwd
-    report["checks"]["braid"] = {"pass": braid_ok, "results": braid_results}
+    src, tgt = hp.braid_part.relators, target.braid_part.relators
+    fwd = verify_homomorphism(gen_map, src, tgt)
+    bwd = verify_homomorphism(reverse_map, tgt, src)
+    braid_ok = all(r.status is ProofStatus.PROVED for r in fwd + bwd)
+    report["checks"]["braid"] = {"pass": braid_ok, "results": {"fwd": fwd, "bwd": bwd}}
     # (2) char polys for single-letter matches
     cp = []
     for g, img in enumerate(gen_map.images):
         if len(img.letters) != 1:
             continue
         cp.append(specialized_charpoly_check(hp, pm, target, g, img.letters[0]))
-    if hp.extra_word is not None:
-        # the distinguished generator matches the inverse of the first
-        # target generator
-        cp.append(specialized_charpoly_check(hp, pm, target, -1, (0, -1)))
+    # the distinguished generator matches the inverse of the first
+    # target generator
+    cp.append(specialized_charpoly_check(hp, pm, target, -1, (0, -1)))
     report["checks"]["charpoly"] = {"pass": all(c["pass"] for c in cp), "results": cp}
     # (3) S0 word matches U1^-1 modulo the target relations
-    if hp.extra_word is not None:
-        image = gen_map.apply(hp.extra_word) * Word.gen(0)
-        res = prove_trivial(image, target.braid_part.relators)
-        report["checks"]["extra_generator"] = {
-            "pass": res.status is ProofStatus.PROVED,
-            "result": res,
-        }
+    image = gen_map.apply(hp.extra_word) * Word.gen(0)
+    res = prove_trivial(image, target.braid_part.relators)
+    report["checks"]["extra_generator"] = {
+        "pass": res.status is ProofStatus.PROVED,
+        "result": res,
+    }
     report["pass"] = all(c["pass"] for c in report["checks"].values())
     return report
 

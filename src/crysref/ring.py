@@ -6,8 +6,8 @@ Two kinds of scalars appear as matrix entries: cyclotomic integers
 Every value is a pair ``(a, b)`` meaning ``a + b*w`` with ``w`` the
 adjoined generator.  ``RingSpec.mul`` and ``RingSpec.inv`` are the one
 multiply and inverse, on bare int pairs: the affine kernel calls them
-directly, and ``RingElement`` wraps a pair with its ring for parsing,
-printing and checked arithmetic.  In the formal mode a product that would
+directly, and ``RingElement`` wraps a pair with its ring for printing
+and checked arithmetic.  In the formal mode a product that would
 create an ``alpha**2`` term is an error, never a silent truncation: the
 group arithmetic in scope provably never produces one, so hitting the
 error means a bug upstream.
@@ -15,9 +15,7 @@ error means a bug upstream.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class RingError(Exception):
@@ -57,14 +55,6 @@ class RingSpec:
         if self.d not in _RING_DATA:
             raise ValueError(f"cyclotomic order must be 3, 4 or 6, got {self.d}")
 
-    @classmethod
-    def cyclotomic(cls, d: int) -> "RingSpec":
-        return cls(d)
-
-    @classmethod
-    def formal_alpha(cls) -> "RingSpec":
-        return cls()
-
     @property
     def symbol(self) -> str:
         return _RING_DATA[self.d][2]
@@ -84,16 +74,6 @@ class RingSpec:
 
     def one(self) -> "RingElement":
         return self.el(1)
-
-    def gen(self) -> "RingElement":
-        """The adjoined generator: zeta_d or alpha."""
-        return self.el(0, 1)
-
-    @property
-    def reduction(self) -> tuple[int, int]:
-        """(p, q) with u² = p·u + q; (0, 0) in formal mode where α² never
-        arises."""
-        return _RING_DATA[self.d][:2]
 
     # -- pair arithmetic -----------------------------------------------
 
@@ -184,39 +164,3 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{self} : {self.spec}>"
-
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_PAIR_RE = re.compile(
-    r"^(?P<a>[+-]?\d+(?=[+-]))?(?P<b>[+-]?\d+)\*(?P<w>α|ζ3|ζ6|i)$"
-)
-
-
-def parse_element(spec: RingSpec, text: str) -> RingElement:
-    """Parse the textual rendering produced by ``str`` back bit-exactly."""
-    text = text.strip().replace(" ", "")
-    if _INT_RE.match(text):
-        return RingElement(spec, int(text), 0)
-    m = _PAIR_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse ring element {text!r}")
-    if m.group("w") != spec.symbol:
-        raise ValueError(f"symbol {m.group('w')} does not belong to {spec}")
-    a = int(m.group("a")) if m.group("a") is not None else 0
-    return RingElement(spec, a, int(m.group("b")))
-
-
-def all_units(spec: RingSpec) -> Iterator[RingElement]:
-    """The finite unit group: ±1 (formal) or ±zeta_d powers (cyclotomic)."""
-    if spec.d is None:
-        yield spec.one()
-        yield -spec.one()
-        return
-    seen = set()
-    u = spec.one()
-    for _ in range(2 * spec.d):
-        for v in (u, -u):
-            if (v.a, v.b) not in seen:
-                seen.add((v.a, v.b))
-                yield v
-        u = u * spec.gen()

@@ -56,10 +56,6 @@ class Word:
             return self.inverse() ** (-k)
         return Word(self.letters * k)
 
-    def conjugate_by(self, w: "Word") -> "Word":
-        """w · self · w⁻¹."""
-        return w * self * w.inverse()
-
     # -- cyclic structure ----------------------------------------------
 
     def cyclic_reduce(self) -> "Word":
@@ -67,11 +63,6 @@ class Word:
         while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
             ls = ls[1:-1]
         return Word(ls)
-
-    def cyclic_shift(self, k: int) -> "Word":
-        ls = self.letters
-        k %= len(ls) or 1
-        return Word(ls[k:] + ls[:k])
 
     def cyclic_normal_form(self) -> tuple[Letter, ...]:
         """Least rotation of the cyclic reduction; canonical up to rotation."""

@@ -223,7 +223,7 @@ def test_criterion_8_triple_dot_identities(n):
 
 
 def test_criterion_9_ring_axioms_sample():
-    spec = RingSpec.cyclotomic(4)
+    spec = RingSpec(4)
 
     @settings(max_examples=200, deadline=None)
     @given(*(st.builds(lambda a, b: spec.el(a, b),

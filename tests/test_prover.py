@@ -119,9 +119,10 @@ def test_cyclic_invariance_of_proofs():
     w = parse_word("a b a b a b a a", NAMES)
     base = prove_trivial(w, REL)
     for k in range(1, len(w.letters)):
-        shifted = w.cyclic_shift(k)
+        shifted = Word(w.letters[k:] + w.letters[:k])
+        # the default budget at twice the scale
         res = prove_trivial(shifted, REL,
-                            Budget.for_word(shifted, scale=2.0))
+                            Budget(8 * len(shifted) + 64, 192, 400_000))
         assert res.status is base.status is ProofStatus.PROVED
 
 
@@ -159,8 +160,10 @@ def test_replay_soundness_on_random_relator_products(picks):
     variants = symmetrized_relators(REL)
     w = Word()
     for i in picks:
-        w = w * variants[i].conjugate_by(Word.gen(i % 3))
-    res = prove_trivial(w, REL, Budget.for_word(w, scale=2.0))
+        g = Word.gen(i % 3)
+        w = w * g * variants[i] * g.inverse()
+    # the default budget at twice the scale
+    res = prove_trivial(w, REL, Budget(8 * len(w) + 64, 192, 400_000))
     if res.status is ProofStatus.PROVED:
         assert check_certificate(res.certificate, w, REL)
 
@@ -268,8 +271,9 @@ def test_generators_past_127_are_proved_and_replay():
     artin = artinize(build_group_presentation("A_alpha", 200))
     # (s150 s151)^3 = (s151 s150)^3, from the one braid relator of the pair;
     # the other relators are left out to keep the abelian check small
-    w = artin.word("s150 s151 s150 s151 s150 s151 "
-                   "s150^-1 s151^-1 s150^-1 s151^-1 s150^-1 s151^-1")
+    w = parse_word("s150 s151 s150 s151 s150 s151 "
+                   "s150^-1 s151^-1 s150^-1 s151^-1 s150^-1 s151^-1",
+                   artin.generator_names)
     rels = [r for r in artin.relators if {g for g, _ in r.letters} <= {149, 150}]
     assert [r.text(artin.generator_names) for r in rels] == \
         ["s150 s151 s150 s151^-1 s150^-1 s151^-1"]
@@ -290,7 +294,8 @@ def test_unknown_names_the_limit_hit(budget, reason):
     # s1 and s2 do not commute in the C2 Artin group, so only a limit ends
     # the search
     artin = artinize(build_group_presentation("C_alpha", 2))
-    res = prove_trivial(artin.word("s1 s2 s1^-1 s2^-1"), artin.relators, budget)
+    w = parse_word("s1 s2 s1^-1 s2^-1", artin.generator_names)
+    res = prove_trivial(w, artin.relators, budget)
     assert res.status is ProofStatus.UNKNOWN
     assert res.reason == f"search budget exhausted: {reason}"
 

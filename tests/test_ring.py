@@ -8,16 +8,9 @@ from crysref.ring import (
     NotAUnit,
     RingSpec,
     SpecMismatchError,
-    all_units,
-    parse_element,
 )
 
-SPECS = [
-    RingSpec.formal_alpha(),
-    RingSpec.cyclotomic(3),
-    RingSpec.cyclotomic(4),
-    RingSpec.cyclotomic(6),
-]
+SPECS = [RingSpec(), RingSpec(3), RingSpec(4), RingSpec(6)]
 
 coef = st.integers(min_value=-50, max_value=50)
 
@@ -56,26 +49,18 @@ def test_ring_axioms(spec):
     inner()
 
 
-def test_cyclotomic_reduction_constants():
-    # zeta^2 = p*zeta + q per adjoined order
-    assert RingSpec.cyclotomic(3).reduction == (-1, -1)
-    assert RingSpec.cyclotomic(4).reduction == (0, -1)
-    assert RingSpec.cyclotomic(6).reduction == (1, -1)
-    assert RingSpec.formal_alpha().reduction == (0, 0)
-
-
 @pytest.mark.parametrize("d,order", [(3, 3), (4, 4), (6, 6)])
 def test_generator_has_expected_order(d, order):
-    spec = RingSpec.cyclotomic(d)
-    z = spec.gen()
+    spec = RingSpec(d)
+    z = spec.el(0, 1)
     assert z ** order == spec.one()
     for k in range(1, order):
         assert z ** k != spec.one()
 
 
 def test_formal_alpha_overflow():
-    spec = RingSpec.formal_alpha()
-    a = spec.gen()
+    spec = RingSpec()
+    a = spec.el(0, 1)
     with pytest.raises(FormalAlphaOverflow):
         a * a
     with pytest.raises(FormalAlphaOverflow):
@@ -86,12 +71,13 @@ def test_formal_alpha_overflow():
 
 def test_spec_mismatch_rejected():
     with pytest.raises(SpecMismatchError):
-        RingSpec.cyclotomic(3).one() + RingSpec.cyclotomic(4).one()
+        RingSpec(3).one() + RingSpec(4).one()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 def test_units_invert(spec):
-    units = list(all_units(spec))
+    z = spec.el(0, 1)  # ζ, or α in the formal ring, where only ±1 are units
+    units = {s * z ** k for s in (spec.one(), -spec.one()) for k in range(spec.d or 1)}
     expected = 2 if spec.d is None else {3: 6, 4: 4, 6: 6}[spec.d]
     assert len(units) == expected
     for u in units:
@@ -100,16 +86,6 @@ def test_units_invert(spec):
 
 def test_nonunits_raise():
     with pytest.raises(NotAUnit):
-        RingSpec.formal_alpha().gen().inverse()
+        RingSpec().el(0, 1).inverse()
     with pytest.raises(NotAUnit):
-        RingSpec.cyclotomic(4).el(2).inverse()
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=str)
-def test_str_parse_round_trip(spec):
-    @settings(max_examples=200, deadline=None)
-    @given(elements(spec))
-    def inner(x):
-        assert parse_element(spec, str(x)) == x
-
-    inner()
+        RingSpec(4).el(2).inverse()

