@@ -1,13 +1,17 @@
 """Command-line interface.
 
 Subcommands: verify, braid, abelianize, classes, hecke, prove, replay,
-export.  Exit codes: 0 every check passed, 1 a check failed, 2 a prover
-returned Unknown, 64 usage error; a usage error, argparse's own included,
-is one ``error:`` line on stderr.  ``--json`` emits a machine-readable
-report (``"schema": 1``).  The environment variable
-``CRYSREF_BUDGET_SCALE`` multiplies all search budgets; it must be a
-finite number > 0.  If the reader of stdout goes away, the rest of the
-report is dropped and the exit code still gives the verdict.
+export.  Each command returns its report, and one rule reads the exit
+code off it: 1 if any proof in it is disproved, else 2 if any proof is
+Unknown, else 1 if the report's ``pass`` is false, else 0.  So braid,
+prove and both prover-backed hecke checks (gdaha-check, tripledot) exit
+2 when a proof ends Unknown and none is disproved.  A usage error exits
+64 and is one ``error:`` line on stderr, argparse's own included.
+``--json`` emits a machine-readable report (``"schema": 1``).  The
+environment variable ``CRYSREF_BUDGET_SCALE`` multiplies all search
+budgets; it must be a finite number > 0.  If the reader of stdout goes
+away, the rest of the report is dropped and the exit code still gives
+the verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .prover import (
     Budget,
     Certificate,
     ProofResult,
-    ProofStatus,
     check_certificate,
     env_budget_scale,
     prove_trivial,
@@ -65,13 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-depth", type=int, default=None,
-                        help="override the prover depth budget")
-    parser.add_argument("--max-len", type=int, default=None,
-                        help="override the prover word-length budget")
-
-
 def _proof_json(res) -> dict:
     out = {"status": res.status.name.lower()}
     if res.certificate is not None:
@@ -81,57 +77,47 @@ def _proof_json(res) -> dict:
     return out
 
 
-def _jsonable(value):
+def _jsonable(value, statuses: list):
+    """``value`` as JSON; the status of each proof goes on ``statuses``."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, statuses) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, statuses) for v in value]
     if isinstance(value, ProofResult):
+        statuses.append(value.status.name.lower())
         return _proof_json(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
 
 
-def _status_exit(statuses) -> int:
-    statuses = list(statuses)
-    if any(s is ProofStatus.DISPROVED for s in statuses):
-        return 1
-    if any(s is ProofStatus.UNKNOWN for s in statuses):
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------
-# subcommands (each returns (report_dict, exit_code))
+# subcommands (each returns its report; main reads the exit code off it)
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> dict:
     pres = build_group_presentation(args.family, args.n)
     _, gens = build_generator_matrices(args.family, args.n)
     full = verify_presentation(pres, gens)
     if args.what == "all":
-        report, ok = full, full["pass"]
-    elif args.what == "presentation":
+        return full
+    if args.what == "presentation":
         rels = [r for i, r in enumerate(full["relators"])
                 if i != pres.x_relator_index]
-        ok = all(r["pass"] for r in rels)
-        report = {"pass": ok, "relators": rels}
-    elif args.what == "x-relation":
+        return {"pass": all(r["pass"] for r in rels), "relators": rels}
+    if args.what == "x-relation":
         if pres.x_relator_index is None:
             raise _UsageError(f"{args.family} n={args.n} has no x-relation")
         entry = full["relators"][pres.x_relator_index]
-        report, ok = {"pass": entry["pass"], "relators": [entry]}, entry["pass"]
-    else:  # extra-order
-        entry = full.get("extra_order")
-        if entry is None:
-            raise _UsageError(f"{args.family} n={args.n} has no extra "
-                              "order relation")
-        report, ok = {"pass": entry["pass"], "extra_order": entry}, entry["pass"]
-    return report, 0 if ok else 1
+        return {"pass": entry["pass"], "relators": [entry]}
+    entry = full.get("extra_order")  # extra-order
+    if entry is None:
+        raise _UsageError(f"{args.family} n={args.n} has no extra "
+                          "order relation")
+    return {"pass": entry["pass"], "extra_order": entry}
 
 
-def cmd_braid(args) -> tuple[dict, int]:
+def cmd_braid(args) -> dict:
     iso = braid_isomorphism(args.family, args.n)
     hints = None
     if args.mode == "replay":
@@ -142,53 +128,38 @@ def cmd_braid(args) -> tuple[dict, int]:
         iso.fwd, iso.bwd, iso.braid.relators, iso.artin.relators,
         hints=hints,
     )
-    keys = {"fwd": ["fwd_relators", "bwd_fwd"],
-            "bwd": ["bwd_relators", "fwd_bwd"],
-            "both": ["fwd_relators", "bwd_relators", "bwd_fwd", "fwd_bwd"]}
-    wanted = keys[args.direction]
-    statuses = [r.status for k in wanted for r in rep[k]]
+    ok = rep.pop("pass")
     space, rank = braid_space_for(args.family, args.n)
-    report = {
-        "space": space,
-        "space_rank": rank,
-        "checks": {k: rep[k] for k in wanted},
-        "pass": all(s is ProofStatus.PROVED for s in statuses),
-    }
-    return report, _status_exit(statuses)
+    return {"space": space, "space_rank": rank, "checks": rep, "pass": ok}
 
 
-def cmd_abelianize(args) -> tuple[dict, int]:
+def cmd_abelianize(args) -> dict:
     pres = build_group_presentation(args.family, args.n)
-    divisors = abelianize(pres)
-    return {"divisors": divisors, "pass": True}, 0
+    return {"divisors": abelianize(pres), "pass": True}
 
 
-def cmd_classes(args) -> tuple[dict, int]:
+def cmd_classes(args) -> dict:
     if args.bound < 0:
         raise _UsageError(f"--bound must be >= 0, got {args.bound}")
     classes = enumerate_reflection_classes(args.family, args.n,
                                            bound=args.bound)
-    return {"count": len(classes), "classes": classes, "pass": True}, 0
+    return {"count": len(classes), "classes": classes, "pass": True}
 
 
-def cmd_gdaha_check(args) -> tuple[dict, int]:
+def cmd_gdaha_check(args) -> dict:
     family = GDAHA_FAMILY[args.type]
-    rep = gdaha_check(family, args.n)
-    rep = {"family": family, "legs": list(GDAHA_LEGS[args.type]), **rep}
-    return rep, 0 if rep["pass"] else 1
+    return {"family": family, "legs": list(GDAHA_LEGS[args.type]),
+            **gdaha_check(family, args.n)}
 
 
-def cmd_rank_one(args) -> tuple[dict, int]:
-    rep = rank_one_specialization_check()
-    return rep, 0 if rep["pass"] else 1
+def cmd_rank_one(args) -> dict:
+    return rank_one_specialization_check()
 
 
-def cmd_tripledot(args) -> tuple[dict, int]:
+def cmd_tripledot(args) -> dict:
     rep = triple_dot_report(args.n)
-    statuses = [r.status for r in rep["results"].values()]
-    report = {"word": rep["word"], "identities": rep["results"],
-              "pass": rep["pass"]}
-    return report, _status_exit(statuses)
+    return {"word": rep["word"], "identities": rep["results"],
+            "pass": rep["pass"]}
 
 
 def _target_word(args):
@@ -201,7 +172,7 @@ def _target_word(args):
         raise _UsageError(str(exc)) from exc
 
 
-def cmd_prove(args) -> tuple[dict, int]:
+def cmd_prove(args) -> dict:
     for flag, value in (("--max-len", args.max_len),
                         ("--max-depth", args.max_depth)):
         if value is not None and value < 1:
@@ -211,22 +182,20 @@ def cmd_prove(args) -> tuple[dict, int]:
     budget = Budget(args.max_len or default.max_word_length,
                     args.max_depth or default.max_depth, default.max_states)
     res = prove_trivial(word, target.relators, budget)
-    report = {"word": word.text(target.generator_names), **_proof_json(res)}
-    return report, _status_exit([res.status])
+    return {"word": word.text(target.generator_names), **_proof_json(res)}
 
 
-def cmd_replay(args) -> tuple[dict, int]:
+def cmd_replay(args) -> dict:
     target, word = _target_word(args)
     try:
         with open(args.certificate) as fh:
             cert = Certificate.from_text(fh.read())
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read certificate: {exc}") from exc
-    ok = check_certificate(cert, word, target.relators)
-    return {"pass": ok}, 0 if ok else 1
+    return {"pass": check_certificate(cert, word, target.relators)}
 
 
-def cmd_export(args) -> tuple[dict, int]:
+def cmd_export(args) -> dict:
     pres = build_group_presentation(args.family, args.n)
     if args.dot:
         if pres.diagram is None:
@@ -234,7 +203,7 @@ def cmd_export(args) -> tuple[dict, int]:
         text = diagram_to_dot(pres.diagram)
     else:
         text = presentation_to_text(pres)
-    return {"text": text, "pass": True}, 0
+    return {"text": text, "pass": True}
 
 
 # ---------------------------------------------------------------------
@@ -269,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("braid", help="prove the braid-presentation "
                                      "isomorphism pair")
     fam_rank(p)
-    p.add_argument("--direction", default="both",
-                   choices=["fwd", "bwd", "both"])
     p.add_argument("--mode", default="search", choices=["search", "replay"])
     p.set_defaults(func=cmd_braid)
 
@@ -310,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--artin", action="store_true",
                    help="work in the Artin group (order relations dropped)")
-    _budget_flags(p)
+    p.add_argument("--max-depth", type=int, default=None,
+                   help="override the prover depth budget")
+    p.add_argument("--max-len", type=int, default=None,
+                   help="override the prover word-length budget")
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("replay", help="check a stored certificate")
@@ -353,13 +323,17 @@ def main(argv=None) -> int:
         return EX_USAGE
     start = time.perf_counter()
     try:
-        report, code = args.func(args)
+        report = args.func(args)
     except (_UsageError, RankOutOfRange, UnsupportedFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    statuses = [report.get("status")]  # prove reports its one proof inline
     report = _jsonable({"schema": 1, "command": args.command, **report,
-                        "wall_time": round(time.perf_counter() - start, 3),
-                        "exit_code": code})
+                        "wall_time": round(time.perf_counter() - start, 3)},
+                       statuses)
+    code = (1 if "disproved" in statuses else 2 if "unknown" in statuses
+            else 0 if report.get("pass", True) else 1)
+    report["exit_code"] = code
     try:
         if args.json:
             json.dump(report, sys.stdout, indent=2)

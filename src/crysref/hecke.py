@@ -491,7 +491,7 @@ RANK_ONE_SUBSTITUTIONS = (
 )
 
 
-def rank_one_specialization_check(substitutions=RANK_ONE_SUBSTITUTIONS) -> dict:
+def rank_one_specialization_check() -> dict:
     """The rank-one identification: S0 ↦ q T1⁻¹ and S_i ↦ T_{i+1} carry
     the generic quadratics onto the four rank-one quadratics
     (T_j − t_{j1})(T_j + t_{j1}⁻¹), the S0 one up to the unit −q²T1⁻²."""
@@ -503,7 +503,7 @@ def rank_one_specialization_check(substitutions=RANK_ONE_SUBSTITUTIONS) -> dict:
             out = out * LaurentPoly.var(universe, name, p)
         return out
 
-    table = {name: mono(parts, c) for name, parts, c in substitutions}
+    table = {name: mono(parts, c) for name, parts, c in RANK_ONE_SUBSTITUTIONS}
     q = LaurentPoly.var(universe, "q")
     results = []
     for i in range(4):
@@ -530,12 +530,8 @@ def triple_dot_generator(n: int) -> Word:
     (s_n s_{n+1} s_{n-1} ⋯ s_1 ⋯ s_{n-1})⁻¹."""
     if n < 3:
         raise RankOutOfRange("the triple-dot construction needs n >= 3")
-    inner = Word(
-        [(n - 1, 1), (n, 1)]
-        + [(i, 1) for i in range(n - 2, -1, -1)]
-        + [(i, 1) for i in range(1, n - 1)]
-    )
-    return inner.inverse()
+    return Word.positive(n - 1, n, *range(n - 2, -1, -1),
+                         *range(1, n - 1)).inverse()
 
 
 def triple_dot_report(n: int) -> dict:

@@ -43,10 +43,6 @@ class BraidIsomorphism:
     bwd: GeneratorMap
 
 
-def _pos(*idxs: int) -> Word:
-    return Word([(i, 1) for i in idxs])
-
-
 def braid_isomorphism(family: str, n: int) -> BraidIsomorphism:
     space, _ = braid_space_for(family, n)
     artin = artinize(build_group_presentation(family, n))
@@ -74,14 +70,14 @@ def sphere_maps(legs: int, n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     k = n + legs - 2
     # Artin generators s1..sk are 0-based 0..k-1; sphere generators
     # u1..u(legs) are 0..legs-1 and t1..t(n-1) are legs..legs+n-2
-    s_mid = _pos(*range(1, n))                       # s2 ... sn
-    full = _pos(*range(k), *range(n - 1, 0, -1))
+    s_mid = Word.positive(*range(1, n))             # s2 ... sn
+    full = Word.positive(*range(k), *range(n - 1, 0, -1))
     to_artin = (
         (full.inverse(), Word.gen(0))                # u1, u2
         + tuple(s_mid * Word.gen(j) * s_mid.inverse() for j in range(n, k))
         + tuple(Word.gen(i) for i in range(1, n))    # t_i -> s(i+1)
     )
-    t_prod = _pos(*range(legs, legs + n - 1))        # t1 ... t(n-1)
+    t_prod = Word.positive(*range(legs, legs + n - 1))  # t1 ... t(n-1)
     to_sphere = (
         (Word.gen(1),)                               # s1 -> u2
         + tuple(Word.gen(legs + i) for i in range(n - 1))      # s2 ... sn
@@ -100,12 +96,12 @@ def _a_maps(n: int) -> tuple[tuple[Word, ...], tuple[Word, ...]]:
     fwd_t = []
     # t_i = (s1..s(i-1) s(n-1)..s(i+1))^-1 s(n+1) s1..s(i-1) s(n-1)..s_i
     for i in range(1, n):
-        a = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 1, -1))))
-        b = _pos(*(list(range(0, i - 1)) + list(range(n - 2, i - 2, -1))))
+        a = Word.positive(*range(i - 1), *range(n - 2, i - 1, -1))
+        b = Word.positive(*range(i - 1), *range(n - 2, i - 2, -1))
         fwd_t.append(a.inverse() * sn1 * b)
     # bwd: s_i -> r_i (i < n), s_n -> r0,
     # s(n+1) -> r(n-1)...r2 t1 r1^-1 r2^-1 ... r(n-1)^-1
-    conj = _pos(*range(n - 1, 1, -1))
+    conj = Word.positive(*range(n - 1, 1, -1))
     bwd_images = (
         tuple(Word.gen(i) for i in range(1, n))
         + (

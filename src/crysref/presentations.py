@@ -145,7 +145,7 @@ def _c_presentation(n: int) -> Presentation:
     rels.append(w1 * w2.inverse())
     edges.append((n, n + 1, Lace.X))
     # extra order relation (s1 ... s(n+2) sn ... s2)^2
-    base = Word([(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 1, 0, -1)])
+    base = Word.positive(*range(k), *range(n - 1, 0, -1))
     rels.append(base ** 2)
     diagram = CoxeterLikeDiagram(tuple((nm, 2) for nm in names), tuple(edges))
     return Presentation(names, (2,) * k, tuple(rels), (base, 2), diagram, x_index)
@@ -186,7 +186,7 @@ def _a_presentation(n: int) -> Presentation:
     rels.append(lhs * rhs.inverse())
     edges.append((n - 1, n, Lace.X))
     # extra order relation (s1 ... s(n+1) s(n-1) ... s2)^2
-    base = Word([(i, 1) for i in range(k)] + [(i, 1) for i in range(n - 2, 0, -1)])
+    base = Word.positive(*range(k), *range(n - 2, 0, -1))
     rels.append(base ** 2)
     diagram = CoxeterLikeDiagram(tuple((nm, 2) for nm in names), tuple(edges))
     return Presentation(names, (2,) * k, tuple(rels), (base, 2), diagram, x_index)
@@ -195,10 +195,6 @@ def _a_presentation(n: int) -> Presentation:
 # ---------------------------------------------------------------------
 # genuine families, read off their Coxeter-like diagrams (matrix
 # representations exist only for the d-cyclic label-1 towers)
-
-
-def _word(*gens: int) -> Word:
-    return Word([(g, 1) for g in gens])
 
 
 def _chain(m: int, head: Lace, tail: Lace) -> list[Edge]:
@@ -234,7 +230,7 @@ def _a1_presentation() -> Presentation:
     """C_alpha at n = 1 and A_alpha at n = 2: three involutions, pairwise
     joined by infinity edges."""
     edges = [(i, j, Lace.INFINITY) for i, j in ((0, 1), (0, 2), (1, 2))]
-    return _diagram_presentation((2, 2, 2), edges, _word(0, 1, 2), 2)
+    return _diagram_presentation((2, 2, 2), edges, Word.positive(0, 1, 2), 2)
 
 
 # per family: order of the first node, order of the top affine node, and
@@ -254,7 +250,7 @@ def _g_d1n_presentation(family: str, n: int) -> Presentation:
     else:
         edges = _chain(n, Lace.DOUBLE, Lace.DOUBLE)
     # (s1 ... s(n+1) sn ... s2)^e
-    base = _word(*range(n + 1), *range(n - 1, 0, -1))
+    base = Word.positive(*range(n + 1), *range(n - 1, 0, -1))
     return _diagram_presentation(orders, edges, base, e)
 
 
@@ -266,7 +262,7 @@ def _g_dpn_presentation(family: str, n: int) -> Presentation:
         raise RankOutOfRange(f"{name} needs n >= 2")
     edges = _chain(n - 1, Lace.DOUBLE, Lace.DOUBLE) + [(n - 2, n, Lace.DOUBLE)]
     # (s1 ... s(n+1) s(n-1) ... s2)^e
-    base = _word(*range(n + 1), *range(n - 2, 0, -1))
+    base = Word.positive(*range(n + 1), *range(n - 2, 0, -1))
     return _diagram_presentation((d0,) + (2,) * n, edges, base, e)
 
 
@@ -276,14 +272,14 @@ def _g421_presentation(n: int) -> Presentation:
     if n == 2:
         # the exceptional star on five involutions, centred at s2
         edges = [(1, leaf, Lace.SIMPLE) for leaf in (0, 2, 3, 4)]
-        return _diagram_presentation((2,) * 5, edges, _word(1, 0, 2, 3, 4), 2)
+        return _diagram_presentation((2,) * 5, edges, Word.positive(1, 0, 2, 3, 4), 2)
     # a triangle s1 s2 s3, a chain s3 .. sn, and sn joined to s(n+1) and
     # s(n+2) by quartic laces
     edges = [(0, 1, Lace.SIMPLE), (1, 2, Lace.SIMPLE), (0, 2, Lace.SIMPLE)]
     edges += [(i, i + 1, Lace.SIMPLE) for i in range(2, n - 1)]
     edges += [(n - 1, n, Lace.DOUBLE), (n - 1, n + 1, Lace.DOUBLE)]
     # (s1 ... s(n+2) sn ... s4)^4
-    base = _word(*range(n + 2), *range(n - 1, 2, -1))
+    base = Word.positive(*range(n + 2), *range(n - 1, 2, -1))
     return _diagram_presentation((2,) * (n + 2), edges, base, 4)
 
 
@@ -297,7 +293,7 @@ def _g422_g631_presentation(family: str, n: int) -> Presentation:
     edges = _chain(n, Lace.SIMPLE, Lace.DOUBLE) + [(n - 1, n + 1, Lace.DOUBLE)]
     # G422: (s1 ... s(n+2) s(n+1) ... s4)^4; G631: (s2 ... s(n+2) s(n+1) ... s4)^6
     first, e = (0, 4) if family == "G422" else (1, 6)
-    base = _word(*range(first, n + 2), *range(n, 2, -1))
+    base = Word.positive(*range(first, n + 2), *range(n, 2, -1))
     return _diagram_presentation((2,) * (n + 2), edges, base, e)
 
 
@@ -340,7 +336,7 @@ def punctured_sphere_braid(holes: int, n: int) -> Presentation:
     t = list(range(m, k))
     rels: list[Word] = []
     # closedness: u1 ... um t1 ... t(n-1) t(n-1) ... t1 = 1
-    rels.append(Word([(i, 1) for i in u] + [(i, 1) for i in t] + [(i, 1) for i in reversed(t)]))
+    rels.append(Word.positive(*u, *t, *reversed(t)))
     for a in range(n - 1):
         for b in range(a + 2, n - 1):
             rels.append(comm_relator(t[a], t[b]))
@@ -394,7 +390,7 @@ def special_torus_braid(n: int) -> Presentation:
         rels.append(Word([(r[i], 1), (t[i], 1), (r[i], 1)]) * tt.inverse())
         rels.append(Word([(r[i + 1], 1), (t[i - 1], 1), (r[i + 1], 1)]) * tt.inverse())
     # special pushrelations r0 t_i r0 = t_i (t1 ... t(n-1))^-1, i = 1, n-1
-    tprod = Word([(j, 1) for j in t])
+    tprod = Word.positive(*t)
     for i in {1, n - 1}:
         lhs = Word([(r[0], 1), (t[i - 1], 1), (r[0], 1)])
         rhs = Word([(t[i - 1], 1)]) * tprod.inverse()

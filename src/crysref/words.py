@@ -43,6 +43,11 @@ class Word:
     def gen(cls, g: int, e: int = 1) -> "Word":
         return cls([(g, e)])
 
+    @classmethod
+    def positive(cls, *gens: int) -> "Word":
+        """The product of the given generators, each to the power +1."""
+        return cls([(g, 1) for g in gens])
+
     # -- group operations ----------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":

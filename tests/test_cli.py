@@ -258,3 +258,49 @@ def test_exit_code_contract_verify_matrix(capsys, family, n):
     assert code == 0 and rep["pass"] is True
     code2, rep2 = run_json(capsys, "abelianize", family, str(n))
     assert code2 == 0
+
+
+def _proof_statuses(value):
+    """The status of every proof in a JSON report."""
+    if isinstance(value, dict):
+        if "status" in value:
+            yield value["status"]
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _proof_statuses(item)
+
+
+# proves s1 s1 in C_alpha 2, so it does not replay for s2 s2
+WRONG_CERTIFICATE = ("step 0: insert R1@0 at 0\nstep 1: cancel at 1\n"
+                     "step 2: cancel at 0\n")
+
+
+@pytest.mark.parametrize("scale,argv,expected", [
+    (None, ("verify", "C_alpha", "2"), 0),
+    (None, ("prove", "C_alpha", "2", "s1"), 1),
+    (None, ("prove", "C_alpha", "1", "s1 s2 s1^-1 s2^-1", "--artin"), 2),
+    (None, ("replay", "C_alpha", "2", "s2 s2", "CERT"), 1),
+    ("0.0001", ("hecke", "gdaha-check", "D4", "2"), 2),
+    ("0.0001", ("braid", "C_alpha", "2"), 2),
+    ("0.0001", ("hecke", "tripledot", "4"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_exit_code_rule(capsys, monkeypatch, tmp_path, scale, argv, expected):
+    # 1 if a proof is disproved, else 2 if one is Unknown, else 1 if the
+    # report fails, else 0
+    if scale is not None:
+        monkeypatch.setenv("CRYSREF_BUDGET_SCALE", scale)
+    cert = tmp_path / "cert.txt"
+    cert.write_text(WRONG_CERTIFICATE)
+    code, rep = run_json(capsys, *(str(cert) if a == "CERT" else a for a in argv))
+    statuses = set(_proof_statuses(rep))
+    rule = (1 if "disproved" in statuses else 2 if "unknown" in statuses
+            else 0 if rep.get("pass", True) else 1)
+    assert code == rep["exit_code"] == rule == expected
+
+
+def test_braid_direction_is_gone(capsys):
+    code, out, err = run(capsys, "braid", "C_alpha", "2", "--direction", "fwd")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

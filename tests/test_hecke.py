@@ -248,17 +248,16 @@ def test_rank_one_table():
     assert "q" in units[0] and units[1:] == ["1", "1", "1"]
 
 
-def test_rank_one_mutation_fails_with_difference():
-    from crysref.hecke import RANK_ONE_SUBSTITUTIONS
-
+def test_rank_one_mutation_fails_with_difference(monkeypatch):
     # flip the sign of the second parameter image for s1: t21 -> +t21^-1
     mutated = []
-    for name, parts, c in RANK_ONE_SUBSTITUTIONS:
+    for name, parts, c in crysref.hecke.RANK_ONE_SUBSTITUTIONS:
         if name == "s1.2":
             mutated.append((name, parts, -c))
         else:
             mutated.append((name, parts, c))
-    rep = rank_one_specialization_check(tuple(mutated))
+    monkeypatch.setattr(crysref.hecke, "RANK_ONE_SUBSTITUTIONS", tuple(mutated))
+    rep = rank_one_specialization_check()
     assert not rep["pass"]
     bad = [r for r in rep["results"] if not r["pass"]]
     assert bad and bad[0]["difference"] is not None
