@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -231,12 +232,14 @@ def _relator_chunks(relators: tuple[Word, ...]) -> tuple[tuple, tuple]:
     return variants, tuple(_chunks(variants, range(len(variants))))
 
 
-def _joins(seq: str, chunks: Sequence[tuple]):
-    """The moves (v, s, pos, new) from the freely reduced state seq, in chunk
-    then pos order, for the search and the hints alike.  pos is an end of seq
-    or a seam where the shift's unreduced first or last letter cancels (any
-    other pos only grows the word, which another shift reaches too); new is
-    the free reduction of the insert, one slice join after the seam cancels."""
+def _joins(seq: str, chunks: Sequence[tuple], limit: int):
+    """The moves (v, s, pos, size, new) from the freely reduced state seq, in
+    chunk then pos order, for the search and the hints alike.  pos is an end
+    of seq or a seam where the shift's unreduced first or last letter cancels
+    (any other pos only grows the word, which another shift reaches too); new
+    is the free reduction of the insert, one slice join after the seam
+    cancels, and size its length.  new is None when size > limit: the size
+    is counted from the cancels, so a move too long to use is never joined."""
     n = len(seq)
     for v, s, head, tail, body, inv in chunks:
         found = {0, n}
@@ -262,7 +265,10 @@ def _joins(seq: str, chunks: Sequence[tuple]):
                 while i and j < n and ord(seq[i - 1]) ^ 1 == ord(seq[j]):
                     i -= 1
                     j += 1
-            yield v, s, pos, seq[:i] + body[k:m] + seq[j:]
+            size = i + m - k + n - j
+            yield v, s, pos, size, (
+                seq[:i] + body[k:m] + seq[j:] if size <= limit else None
+            )
 
 
 def abelian_obstruction(word: Word, relators: Sequence[Word]) -> bool:
@@ -285,11 +291,12 @@ def prove_trivial(
     """Best-first search for a triviality certificate.
 
     Two deterministic phases: a depth-committing pass (LIFO tie-break,
-    quarter state budget) that resolves most instances quickly, then a
-    breadth-sweeping pass (FIFO tie-break, full budget) as a fallback.
-    Only the sweep proves one relator each of `braid C_alpha 4`, `hecke
-    tripledot 5` and `hecke gdaha-check D4 4`; one newest-first pass at the
-    full budget ends the first two Unknown after 47-50 s and 2.3 GB.
+    a twentieth of the popped-state budget, at least 1000 and at most all
+    of it) that resolves most instances quickly, then a breadth-sweeping
+    pass (FIFO tie-break, full budget) as a fallback.  Only the sweep
+    proves one relator each of `braid C_alpha 4`, `hecke tripledot 5` and
+    `hecke gdaha-check D4 4`.  Each pass stores about as many states as it
+    pops, so ``max_states`` bounds the memory.
     """
     if not word:
         return ProofResult(ProofStatus.PROVED, Certificate(()))
@@ -301,7 +308,9 @@ def prove_trivial(
         budget = Budget.for_word(word)
     variants, chunks = _relator_chunks(tuple(relators))
     dive_budget = Budget(
-        budget.max_word_length, budget.max_depth, max(1000, budget.max_states // 4)
+        budget.max_word_length,
+        budget.max_depth,
+        min(budget.max_states, max(1000, budget.max_states // 20)),
     )
     res = _search(word, variants, chunks, dive_budget, lifo=True)
     if res.status is ProofStatus.PROVED:
@@ -316,44 +325,66 @@ def _search(
     budget: Budget,
     lifo: bool,
 ) -> ProofResult:
-    """Best-first search over the ``_joins`` moves, shortest word first.
+    """Best-first search over the ``_joins`` moves, shortest word first,
+    with partial expansion (Yoshizumi, Miura and Ishida, AAAI 2000).
+
+    A state popped at score F stores only its children of length <= F and
+    goes back on the heap at the key of its best deferred child; each
+    re-pop stores the children of that length.  A child's tie is its index
+    in its parent's full move list, offset by a block of ties the parent
+    takes at its first pop, so a deferred child keeps the place in the
+    order it would have had if stored at once.  Only first pops count
+    toward ``max_states``, and stored states stay close to popped ones.
 
     A state is an ``_encode`` string keeping one parent record ``(parent,
     v, s, pos, depth)``; ``_build_certificate`` rebuilds the cancel steps.
     An ``Unknown`` names the limit that ended the search."""
     start = _encode(word.letters)
-    # heap entries: (score, tiebreak, seq)
-    counter = 0
+    maxlen = budget.max_word_length
+    sign = -1 if lifo else 1
+    # heap entries: (score, tiebreak, seq); an expanded state comes back
+    # with the score and tie of its best deferred child
     heap: list[tuple[int, int, str]] = [(len(start), 0, start)]
     came_from: dict[str, tuple] = {start: (None, 0, 0, 0, 0)}
+    # the first tie of each expanded state's block
+    blocks: dict[str, int] = {}
+    counter = 1
     explored = 0
     reason = "no moves left within max_word_length and max_depth"
     while heap:
-        _, _, seq = heapq.heappop(heap)
-        explored += 1
-        if explored > budget.max_states:
-            reason = f"popped more than {budget.max_states} states (max_states)"
-            break
-        if len(came_from) > 40 * budget.max_states:
-            reason = f"stored more than {40 * budget.max_states} states (40 * max_states)"
-            break
+        score, _, seq = heapq.heappop(heap)
         depth = came_from[seq][4] + 1
-        if depth > budget.max_depth:
-            continue
-        for v, s, pos, new in _joins(seq, chunks):
-            if len(new) > budget.max_word_length or new in came_from:
+        base = blocks.get(seq)
+        if base is None:
+            explored += 1
+            if explored > budget.max_states:
+                reason = f"popped more than {budget.max_states} states (max_states)"
+                break
+            if depth > budget.max_depth:
                 continue
-            came_from[new] = (seq, v, s, pos, depth)
-            if not new:
-                return ProofResult(
-                    ProofStatus.PROVED,
-                    _build_certificate(itertools.repeat(came_from), new, variants),
-                )
-            counter += 1
-            # LIFO tie-break commits to a promising line; FIFO sweeps
-            # the length plateau breadth-first
-            tie = -counter if lifo else counter
-            heapq.heappush(heap, (len(new), tie, new))
+            base = blocks[seq] = counter
+        # the best deferred child: LIFO ties fall with the index, FIFO rise
+        next_size, next_tie = maxlen + 1, 0
+        idx = -1
+        for idx, (v, s, pos, size, new) in enumerate(
+            _joins(seq, chunks, min(score, maxlen))
+        ):
+            if new is None:
+                if size < next_size or lifo and size == next_size:
+                    next_size, next_tie = size, sign * (base + idx)
+            elif new not in came_from:
+                came_from[new] = (seq, v, s, pos, depth)
+                if not new:
+                    return ProofResult(
+                        ProofStatus.PROVED,
+                        _build_certificate(itertools.repeat(came_from), new, variants),
+                    )
+                # LIFO tie-break commits to a promising line; FIFO sweeps
+                # the length plateau breadth-first
+                heapq.heappush(heap, (size, sign * (base + idx), new))
+        counter = max(counter, base + idx + 1)
+        if next_size <= maxlen:
+            heapq.heappush(heap, (next_size, next_tie, seq))
     return ProofResult(ProofStatus.UNKNOWN, reason=f"search budget exhausted: {reason}")
 
 
@@ -402,8 +433,8 @@ def resolve_hint(
         chunks = _chunks(variants, (2 * r, 2 * r + 1))
         candidates: dict[str, tuple] = {}
         for seq in beam:
-            for v, s, pos, new in _joins(seq, chunks):
-                key = (len(new), v, s, pos)
+            for v, s, pos, size, new in _joins(seq, chunks, sys.maxsize):
+                key = (size, v, s, pos)
                 prev = candidates.get(new)
                 if prev is None or key < prev[4]:
                     candidates[new] = (seq, v, s, pos, key)

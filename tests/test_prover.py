@@ -1,8 +1,13 @@
 """Word-problem prover: certificates, replay, hints, obstructions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import crysref
 from crysref.affine import build_generator_matrices, evaluate_word
 from crysref.presentations import artinize, build_group_presentation
 from crysref.prover import (
@@ -239,20 +244,24 @@ RELATORS = st.lists(st.lists(LETTERS, min_size=1, max_size=6).map(Word)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(LETTERS, max_size=14).map(free_reduce), RELATORS)
+@given(st.lists(LETTERS, max_size=14).map(free_reduce), RELATORS,
+       st.integers(0, 24))
 @example(seq=free_reduce([(1, 1), (0, -1), (2, 1), (0, 1)]),
-         relators=[parse_word("a b a^-1", NAMES)])
+         relators=[parse_word("a b a^-1", NAMES)], limit=24)
 @example(seq=free_reduce([(0, 1), (1, -1), (0, -1), (1, 1)]),
-         relators=[parse_word("a b a^-1 c", NAMES)])
-def test_joins_match_tuple_reference(seq, relators):
+         relators=[parse_word("a b a^-1 c", NAMES)], limit=24)
+def test_joins_match_tuple_reference(seq, relators, limit):
     # relators that are not cyclically reduced (a b a^-1) give chunks that
-    # are not freely reduced: their raw ends must still pick the positions
+    # are not freely reduced: their raw ends must still pick the positions;
+    # a move longer than limit keeps its size but is not joined
     variants = symmetrized_relators(relators)
     chunks = _chunks(variants, range(len(variants)))
-    got = list(_joins(_encode(seq), chunks))
+    got = list(_joins(_encode(seq), chunks, limit))
     want = list(_children_reference(seq, variants))
     assert [m[:3] for m in got] == [m[:3] for m in want]
-    assert [_decode(m[3]) for m in got] == [m[3] for m in want]
+    assert [m[3] for m in got] == [len(m[3]) for m in want]
+    assert [None if m[4] is None else _decode(m[4]) for m in got] == \
+        [m[3] if len(m[3]) <= limit else None for m in want]
 
 
 WIDE_LETTERS = st.tuples(st.integers(0, 300), st.sampled_from((1, -1)))
@@ -285,8 +294,6 @@ def test_generators_past_127_are_proved_and_replay():
 @pytest.mark.parametrize("budget,reason", [
     (Budget(max_word_length=6, max_depth=20, max_states=5),
      "popped more than 5 states (max_states)"),
-    (Budget(max_word_length=10, max_depth=20, max_states=5),
-     "stored more than 200 states (40 * max_states)"),
     (Budget(max_word_length=4, max_depth=20, max_states=5),
      "no moves left within max_word_length and max_depth"),
 ])
@@ -326,3 +333,31 @@ def test_proved_words_are_identity_matrices(family, n):
             assert evaluate_word(w, gens).is_identity()
 
     inner()
+
+
+# proves the forward image of A_alpha 4 braid relator 9, the deepest search
+# of the braid theorem, under an address-space limit; prints its status and
+# whether its certificate replays
+_A4_DEEPEST_PROOF = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+from crysref.isomorphisms import braid_isomorphism
+from crysref.prover import check_certificate, prove_trivial
+iso = braid_isomorphism("A_alpha", 4)
+word = iso.fwd.apply(iso.braid.relators[9])
+res = prove_trivial(word, iso.artin.relators)
+print(res.status.value, res.certificate is not None
+      and check_certificate(res.certificate, word, iso.artin.relators))
+"""
+
+
+def test_deepest_a4_proof_fits_in_300_mb():
+    # a search that stored every child of each popped state needs about
+    # 1.9M states here, far beyond the limit
+    src = os.path.dirname(os.path.dirname(crysref.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _A4_DEEPEST_PROOF],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "proved True\n"
