@@ -9,9 +9,9 @@ prove and both prover-backed hecke checks (gdaha-check, tripledot) exit
 64 and is one ``error:`` line on stderr, argparse's own included.
 ``--json`` emits a machine-readable report (``"schema": 1``).  The
 environment variable ``CRYSREF_BUDGET_SCALE`` multiplies all search
-budgets; it must be a finite number > 0.  If the reader of stdout goes
-away, the rest of the report is dropped and the exit code still gives
-the verdict.
+budgets; it must be a number > 0 that keeps them finite.  If the reader
+of stdout goes away, the rest of the report is dropped and the exit code
+still gives the verdict.
 """
 
 from __future__ import annotations

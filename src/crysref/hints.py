@@ -15,16 +15,16 @@ Index conventions for the type-C rank-3 pair:
 
 Artin side (generators s1..s5 = indices 0..4)::
 
-    0  s2 s3 s2 = s3 s2 s3
-    1  (s1 s2)^2 = (s2 s1)^2
+    0  (s1 s2)^2 = (s2 s1)^2
+    1  s2 s3 s2 = s3 s2 s3
     2  (s3 s4)^2 = (s4 s3)^2
     3  (s3 s5)^2 = (s5 s3)^2
     4  [s1, s3]
-    5  [s4, s1]
-    6  [s4, s2]
-    7  [s5, s1]
-    8  [s5, s2]
-    9  s5 s3 s4 s3^-1 = s3 s4 s3^-1 s5
+    5  [s1, s4]
+    6  [s1, s5]
+    7  [s2, s4]
+    8  [s2, s5]
+    9  s3 s4 s3^-1 s5 = s5 s3 s4 s3^-1
 
 Sphere-braid side (generators u1..u4, t1, t2 = indices 0..5)::
 
@@ -48,38 +48,38 @@ from __future__ import annotations
 # One script per sphere-braid relator, proved against the Artin relators.
 FWD_RELATORS: list[list[int] | None] = [
     [],                    # closedness: image cancels freely
-    [0],                   # t1 t2 t1 = t2 t1 t2
-    [4, 0, 6, 8, 0],       # [u1, t2]
+    [1],                   # t1 t2 t1 = t2 t1 t2
+    [4, 1, 7, 8, 1],       # [u1, t2]
     # (u1 t1)^2 = (t1 u1)^2 — the longest chain; the written derivation
     # compresses many commutator shuffles into single equalities, so the
     # replay script spells them out.
-    [1, 4, 4, 5, 7, 4, 4, 5, 7, 0, 0, 6, 8, 0, 6, 8, 2, 9, 6, 6, 9, 3,
-     8, 8, 0],
+    [0, 4, 4, 5, 6, 4, 4, 5, 6, 1, 1, 7, 8, 1, 7, 8, 2, 9, 7, 7, 9, 3,
+     8, 8, 1],
     [4],                   # [u2, t2]
-    [1],                   # (u2 t1)^2 = (t1 u2)^2
-    [0, 0, 6],             # [u3, t2]
-    [0, 0, 6, 0, 6, 2, 6, 0, 6],   # (u3 t1)^2 = (t1 u3)^2
-    [0, 0, 8],             # [u4, t2]
-    [0, 0, 8, 0, 8, 3, 8, 0, 8],   # (u4 t1)^2 = (t1 u4)^2
-    [1, 4, 5, 7, 4],       # elliptic (u1, u2)
-    [4, 4, 5, 0, 0, 6, 0, 6, 8, 2, 6, 9, 6, 8, 0],   # elliptic (u1, u3)
-    [4, 4, 7, 0, 0, 8, 0, 6, 8, 6, 9, 3, 8, 0, 8],   # elliptic (u1, u4)
+    [0],                   # (u2 t1)^2 = (t1 u2)^2
+    [1, 1, 7],             # [u3, t2]
+    [1, 1, 7, 1, 7, 2, 7, 1, 7],   # (u3 t1)^2 = (t1 u3)^2
+    [1, 1, 8],             # [u4, t2]
+    [1, 1, 8, 1, 8, 3, 8, 1, 8],   # (u4 t1)^2 = (t1 u4)^2
+    [0, 4, 5, 6, 4],       # elliptic (u1, u2)
+    [4, 4, 5, 1, 1, 7, 1, 7, 8, 2, 7, 9, 7, 8, 1],   # elliptic (u1, u3)
+    [4, 4, 6, 1, 1, 8, 1, 7, 8, 7, 9, 3, 8, 1, 8],   # elliptic (u1, u4)
     [4, 5, 4],             # elliptic (u2, u3)
-    [4, 7, 4],             # elliptic (u2, u4)
-    [0, 0, 8, 0, 6, 9, 6, 0, 8],   # elliptic (u3, u4)
+    [4, 6, 4],             # elliptic (u2, u4)
+    [1, 1, 8, 1, 7, 9, 7, 1, 8],   # elliptic (u3, u4)
 ]
 
 # One script per Artin relator, proved against the sphere-braid relators.
 BWD_RELATORS: list[list[int] | None] = [
-    [1],                   # s2 s3 s2 = s3 s2 s3
     [5],                   # (s1 s2)^2 = (s2 s1)^2
+    [1],                   # s2 s3 s2 = s3 s2 s3
     [1, 1, 6, 1, 6, 7, 6, 6, 1],   # (s3 s4)^2 = (s4 s3)^2
     [1, 1, 8, 1, 8, 9, 8, 8, 1],   # (s3 s5)^2 = (s5 s3)^2
     [4],                   # [s1, s3]
-    [4, 13, 4],            # [s4, s1]
-    [1, 6, 1],             # [s4, s2]
-    [4, 14, 4],            # [s5, s1]
-    [1, 8, 1],             # [s5, s2]
+    [4, 13, 4],            # [s1, s4]
+    [4, 14, 4],            # [s1, s5]
+    [1, 6, 1],             # [s2, s4]
+    [1, 8, 1],             # [s2, s5]
     [1, 1, 8, 1, 6, 15, 6, 8, 1],  # x-relation
 ]
 

@@ -1,14 +1,11 @@
 """Finite presentations for the crystallographic reflection families.
 
 Covers the reflection presentations of the two non-genuine families
-(types A and C, with the x-relation and extra order relation), the
-genuine families, and the braid presentations of the relevant
-configuration spaces.  The genuine families are read off their
-Coxeter-like diagrams: an order relator per node, a braid relator per
-laced edge, a commutator per pair with no edge, and the extra order
-relation.  Types A and C keep explicit relator lists, because the hint
-scripts and the pinned certificates depend on their relator order and
-orientation.
+(types A and C), the genuine families, and the braid presentations of
+the relevant configuration spaces.  Every reflection presentation is read
+off its Coxeter-like diagram: an order relator per node, a braid relator
+per laced edge, a commutator per pair with no edge, the x-relation of
+the x-lace (types A and C only), and the extra order relation.
 """
 
 from __future__ import annotations
@@ -91,7 +88,9 @@ def power_relator(i: int, e: int) -> Word:
 
 
 # ---------------------------------------------------------------------
-# non-genuine reflection presentations
+# reflection presentations, read off their Coxeter-like diagrams (matrix
+# representations exist only for types A and C and the d-cyclic label-1
+# towers)
 
 GROUP_FAMILIES = (
     "A_alpha", "C_alpha",
@@ -107,71 +106,72 @@ class UnsupportedFamily(ValueError):
     pass
 
 
-# Types A and C write their relators out: hints.py names the C3 Artin
-# relators by their indices 0-9, and the pinned certificates depend on
-# relator order and orientation, e.g. comm_relator(extra, j) below.  The
-# order also sets the search speed: in _diagram_presentation's order,
-# `braid A_alpha 4` took 39.7 s / 1,365 MB instead of 9.6 s / 551 MB.
+def _chain(m: int, head: Lace, tail: Lace) -> list[Edge]:
+    """The path s1 - ... - s(m+1): the head lace first, the tail lace
+    last, simple laces between."""
+    return [(i, i + 1, head if i == 0 else tail if i == m - 1 else Lace.SIMPLE)
+            for i in range(m)]
+
+
+def _diagram_presentation(
+    orders: tuple[int, ...], edges: Sequence[Edge], base: Word, e: int,
+    x: Word | None = None,
+) -> Presentation:
+    """The presentation a diagram on s1..sk encodes: an order relator per
+    node, a braid relator per laced edge (in the orientation given), a
+    commutator per pair with no edge (in index order), the x-relator x of
+    the x-lace if there is one, then base^e."""
+    k = len(orders)
+    names = tuple(f"s{i}" for i in range(1, k + 1))
+    rels = [power_relator(i, o) for i, o in enumerate(orders)]
+    rels += [braid_relator(i, j, l.braid_length) for i, j, l in edges
+             if l.braid_length]
+    drawn = {frozenset((i, j)) for i, j, _ in edges}
+    rels += [comm_relator(i, j) for i in range(k) for j in range(i + 1, k)
+             if frozenset((i, j)) not in drawn]
+    x_index = None
+    if x is not None:
+        x_index = len(rels)
+        rels.append(x)
+    rels.append(base ** e)
+    diagram = CoxeterLikeDiagram(
+        tuple(zip(names, orders)),
+        tuple((min(i, j), max(i, j), l) for i, j, l in edges),
+    )
+    return Presentation(names, orders, tuple(rels), (base, e), diagram, x_index)
+
+
+def _a1_presentation() -> Presentation:
+    """C_alpha at n = 1 and A_alpha at n = 2: three involutions, pairwise
+    joined by infinity edges."""
+    edges = [(i, j, Lace.INFINITY) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return _diagram_presentation((2, 2, 2), edges, Word.positive(0, 1, 2), 2)
 
 
 def _c_presentation(n: int) -> Presentation:
     if n == 1:
         return _a1_presentation()
-    k = n + 2
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    rels: list[Word] = [power_relator(i, 2) for i in range(k)]
-    edges: list[Edge] = []
-    # chain s2 .. sn (0-based 1..n-1): simple laces
-    for i in range(1, n - 1):
-        rels.append(braid_relator(i, i + 1, 3))
-        edges.append((i, i + 1, Lace.SIMPLE))
-    # quartic laces s1=s2, sn=s(n+1), sn=s(n+2)
-    for i, j in ((0, 1), (n - 1, n), (n - 1, n + 1)):
-        rels.append(braid_relator(i, j, 4))
-        edges.append((i, j, Lace.DOUBLE))
-    # commutations inside the chain
-    for i in range(n):
-        for j in range(i + 2, n):
-            rels.append(comm_relator(i, j))
-    # the two affine generators commute with s1 .. s(n-1)
-    for extra in (n, n + 1):
-        for j in range(n - 1):
-            rels.append(comm_relator(extra, j))
-    # x-relation: sn s(n+1) sn^-1 s(n+2) = s(n+2) sn s(n+1) sn^-1
+    # a chain s1 .. sn with a quartic lace s1=s2, sn joined to s(n+1) and
+    # s(n+2) by quartic laces, and an x-lace s(n+1)-s(n+2)
     a, b, c = n - 1, n, n + 1
+    edges = _chain(n - 1, Lace.DOUBLE, Lace.SIMPLE)
+    edges += [(a, b, Lace.DOUBLE), (a, c, Lace.DOUBLE), (b, c, Lace.X)]
+    # x-relation: sn s(n+1) sn^-1 s(n+2) = s(n+2) sn s(n+1) sn^-1
     w1 = Word([(a, 1), (b, 1), (a, -1), (c, 1)])
     w2 = Word([(c, 1), (a, 1), (b, 1), (a, -1)])
-    x_index = len(rels)
-    rels.append(w1 * w2.inverse())
-    edges.append((n, n + 1, Lace.X))
-    # extra order relation (s1 ... s(n+2) sn ... s2)^2
-    base = Word.positive(*range(k), *range(n - 1, 0, -1))
-    rels.append(base ** 2)
-    diagram = CoxeterLikeDiagram(tuple((nm, 2) for nm in names), tuple(edges))
-    return Presentation(names, (2,) * k, tuple(rels), (base, 2), diagram, x_index)
+    # (s1 ... s(n+2) sn ... s2)^2
+    base = Word.positive(*range(n + 2), *range(n - 1, 0, -1))
+    return _diagram_presentation((2,) * (n + 2), edges, base, 2, w1 * w2.inverse())
 
 
 def _a_presentation(n: int) -> Presentation:
     if n == 2:
         return _a1_presentation()
-    k = n + 1
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    rels: list[Word] = [power_relator(i, 2) for i in range(k)]
-    edges: list[Edge] = []
-    # chain s1 .. s(n-1)
-    for i in range(n - 2):
-        rels.append(braid_relator(i, i + 1, 3))
-        edges.append((i, i + 1, Lace.SIMPLE))
-    for i in range(n - 1):
-        for j in range(i + 2, n - 1):
-            rels.append(comm_relator(i, j))
-    # both affine generators braid with the chain ends, commute with the rest
-    for extra in (n - 1, n):
-        for j in (0, n - 2):
-            rels.append(braid_relator(extra, j, 3))
-            edges.append((min(extra, j), max(extra, j), Lace.SIMPLE))
-        for j in range(1, n - 3 + 1):
-            rels.append(comm_relator(extra, j))
+    # a chain s1 .. s(n-1), both affine generators sn and s(n+1) braiding
+    # with its two ends, and an x-lace sn-s(n+1)
+    edges = _chain(n - 2, Lace.SIMPLE, Lace.SIMPLE)
+    edges += [(extra, j, Lace.SIMPLE) for extra in (n - 1, n) for j in (0, n - 2)]
+    edges.append((n - 1, n, Lace.X))
     # x-relation: s(n+1) s(n-1) ... s1 sn s1^-1
     #           = s(n-1) sn^-1 s(n-1)^-1 ... s1^-1 s(n+1)^-1
     lhs = Word(
@@ -182,55 +182,9 @@ def _a_presentation(n: int) -> Presentation:
         + [(i, -1) for i in range(n - 2, -1, -1)]
         + [(n, -1)]
     )
-    x_index = len(rels)
-    rels.append(lhs * rhs.inverse())
-    edges.append((n - 1, n, Lace.X))
-    # extra order relation (s1 ... s(n+1) s(n-1) ... s2)^2
-    base = Word.positive(*range(k), *range(n - 2, 0, -1))
-    rels.append(base ** 2)
-    diagram = CoxeterLikeDiagram(tuple((nm, 2) for nm in names), tuple(edges))
-    return Presentation(names, (2,) * k, tuple(rels), (base, 2), diagram, x_index)
-
-
-# ---------------------------------------------------------------------
-# genuine families, read off their Coxeter-like diagrams (matrix
-# representations exist only for the d-cyclic label-1 towers)
-
-
-def _chain(m: int, head: Lace, tail: Lace) -> list[Edge]:
-    """The path s1 - ... - s(m+1): the head lace first, the tail lace
-    last, simple laces between."""
-    return [(i, i + 1, head if i == 0 else tail if i == m - 1 else Lace.SIMPLE)
-            for i in range(m)]
-
-
-def _diagram_presentation(
-    orders: tuple[int, ...], edges: Sequence[Edge], base: Word, e: int
-) -> Presentation:
-    """The presentation a diagram on s1..sk encodes: an order relator per
-    node, a braid relator per laced edge (in the orientation given), a
-    commutator per pair with no edge (in index order), then base^e."""
-    k = len(orders)
-    names = tuple(f"s{i}" for i in range(1, k + 1))
-    rels = [power_relator(i, o) for i, o in enumerate(orders)]
-    rels += [braid_relator(i, j, l.braid_length) for i, j, l in edges
-             if l.braid_length]
-    drawn = {frozenset((i, j)) for i, j, _ in edges}
-    rels += [comm_relator(i, j) for i in range(k) for j in range(i + 1, k)
-             if frozenset((i, j)) not in drawn]
-    rels.append(base ** e)
-    diagram = CoxeterLikeDiagram(
-        tuple(zip(names, orders)),
-        tuple((min(i, j), max(i, j), l) for i, j, l in edges),
-    )
-    return Presentation(names, orders, tuple(rels), (base, e), diagram)
-
-
-def _a1_presentation() -> Presentation:
-    """C_alpha at n = 1 and A_alpha at n = 2: three involutions, pairwise
-    joined by infinity edges."""
-    edges = [(i, j, Lace.INFINITY) for i, j in ((0, 1), (0, 2), (1, 2))]
-    return _diagram_presentation((2, 2, 2), edges, Word.positive(0, 1, 2), 2)
+    # (s1 ... s(n+1) s(n-1) ... s2)^2
+    base = Word.positive(*range(n + 1), *range(n - 2, 0, -1))
+    return _diagram_presentation((2,) * (n + 1), edges, base, 2, lhs * rhs.inverse())
 
 
 # per family: order of the first node, order of the top affine node, and

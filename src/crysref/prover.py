@@ -33,17 +33,18 @@ class ProofStatus(Enum):
 def env_budget_scale() -> float:
     """The factor in ``CRYSREF_BUDGET_SCALE`` (1 when unset or empty).
 
-    Raises ValueError, naming the variable, unless the value is a finite
-    number > 0.
+    Raises ValueError, naming the variable, unless the value is a number
+    > 0 that keeps the largest default budget, ``max_states``, finite.
     """
     text = os.environ.get("CRYSREF_BUDGET_SCALE", "")
     try:
         scale = float(text or "1")
     except ValueError:
         scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
+    if not (math.isfinite(scale * Budget.max_states) and scale > 0):
         raise ValueError(
-            f"CRYSREF_BUDGET_SCALE must be a finite number > 0, got {text!r}"
+            "CRYSREF_BUDGET_SCALE must be a number > 0 that keeps the search "
+            f"budgets finite, got {text!r}"
         )
     return scale
 
@@ -60,8 +61,8 @@ class Budget:
         base = 4 * len(w) + 32
         return cls(
             max_word_length=max(8, int(base * scale)),
-            max_depth=max(8, int(96 * scale)),
-            max_states=max(1000, int(200_000 * scale)),
+            max_depth=max(8, int(cls.max_depth * scale)),
+            max_states=max(1000, int(cls.max_states * scale)),
         )
 
 
@@ -212,7 +213,12 @@ def _decode(seq: str) -> tuple[Letter, ...]:
 def _chunks(variants: Sequence[Word], indices: Sequence[int]) -> list[tuple]:
     """(v, s, head, tail, body, inv) per distinct cyclic shift s of the
     variants v at indices, first occurrence kept: head and tail invert the
-    shift's end letters, body is the reduced shift, inv its letters inverted."""
+    shift's end letters, body is the reduced shift, inv its letters inverted.
+
+    The chunks come in a canonical order, by the length and then the letters
+    of the unreduced shift, so the search sees only the set of relators up
+    to inversion: the order of the relator list changes only the ``Rv@s``
+    labels of a certificate, not the moves it tries or their ties."""
     out: dict[str, tuple] = {}
     for v in indices:
         for s in range(len(variants[v].letters)):
@@ -221,7 +227,7 @@ def _chunks(variants: Sequence[Word], indices: Sequence[int]) -> list[tuple]:
             inv = _encode([(g, -e) for g, e in body])
             ends = _encode([(g, -e) for g, e in (raw[0], raw[-1])])
             out.setdefault(_encode(raw), (v, s, *ends, _encode(body), inv))
-    return list(out.values())
+    return [out[r] for r in sorted(out, key=lambda r: (len(r), r))]
 
 
 @functools.lru_cache(maxsize=16)

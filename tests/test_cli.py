@@ -130,7 +130,7 @@ def test_prove_budget_flag_below_one_is_usage_error(capsys, flag, value):
     assert err == f"error: {flag} must be >= 1, got {value}\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e308"])
 def test_bad_budget_scale_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)
     code, out, err = run(capsys, "prove", "C_alpha", "1", "s1 s1")
@@ -219,6 +219,18 @@ def test_prove_and_replay_round_trip(capsys, tmp_path):
     # same certificate against a different word fails
     code3, rep3 = run_json(capsys, "replay", "C_alpha", "2", "s2 s2", str(cert))
     assert code3 == 1 and rep3["pass"] is False
+
+
+@pytest.mark.parametrize("text", ["step 0: insert R1@0 at 0\nstep 1: swap\n", None],
+                         ids=["malformed", "missing"])
+def test_unreadable_certificate_is_usage_error(capsys, tmp_path, text):
+    cert = tmp_path / "cert.txt"
+    if text is not None:
+        cert.write_text(text)
+    code, out, err = run(capsys, "replay", "C_alpha", "2", "s1 s1", str(cert))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: cannot read certificate: ") and err.count("\n") == 1
 
 
 def test_prove_nontrivial_exits_one(capsys):

@@ -128,19 +128,21 @@ def test_gdaha_specialization(family, n):
 # SHA-256 of the certificate text of every proof in each check, recorded
 # before the prover's search and hint resolver were folded onto one child
 # routine.  Restructuring the prover must never change a certificate.
+# Re-recorded when the search put the relator shifts in one canonical
+# order (length, then letters), which changes the order of its moves.
 GDAHA_DIGESTS = {
-    ("C_alpha", 1): "0caf0f1f29a625214c1b4b52ad907944b5b2fd038120ea74d27e90bf0fd90183",
-    ("C_alpha", 2): "9b34e4884c5622e612f43628019218d3ac67beb6d489261cadbebc12645ac4ee",
-    ("C_alpha", 3): "f6839fe926231b962beb843ebb6cdcb468a3438ffd10eddfd82fbde1322251cd",
+    ("C_alpha", 1): "037dd8ce1aedb7e0fdc531b17f65036b9ca476af23876fe8e696d5bee3c39241",
+    ("C_alpha", 2): "e354392cc17dbcb74a58f1da1b2c21413ec134c4a9e6be4aaaf9bfd75545ae39",
+    ("C_alpha", 3): "6850c6b119f47c1ded4fb9ade96b93d3a4b1d12c2e3aade01e83560eb6efdc3a",
     # the G(d,1,n) towers share their braid part, so their proofs agree
-    **{(f, 1): "bd507c904d76b99e1197f233a7012ba8d9e892ce53893318191a606fde231627"
+    **{(f, 1): "7ef75fc46fcb57bb238a9035e92057c43eef450ad2b11400ddb2638c349b171f"
        for f in ("G311", "G411", "G611")},
-    **{(f, 2): "e804b0c6d091ed41dcf9123117644b372a9d0cadf64df23e6ccc50e7eea8f868"
+    **{(f, 2): "4fc3da6644295926b17a806d93f971da6d4175a928298cd542fb91a7ecce52aa"
        for f in ("G311", "G411", "G611")},
 }
 TRIPLE_DOT_DIGESTS = {
-    3: "a0184a366c77eed679baf984555f966d1632252f26ec38d43321fd07fe0d9590",
-    4: "cb24da7705869c65995c8c93d0cd26aec44b45a2d11dd196c080bc569ae33bae",
+    3: "89f32d1f40f77dcfe7c9e10a8dbd3e9bd4dd279c6c9a938a6c3bfa8e81932582",
+    4: "25ecc488c6eb84f1cd9d73480e95c794938672f0add9f07d34e691e313a65570",
 }
 
 
@@ -175,18 +177,20 @@ def _map_lines(m):
 
 # SHA-256 of the generator images both ways, the parameter assignments and
 # the text of both presentations, recorded before the rank-one GDAHA maps
-# and parameter classes were left to the general construction.
+# and parameter classes were left to the general construction.  C_alpha
+# 2-5 were re-recorded when type C was read off its diagram, which puts
+# the relators of its presentations in the diagram order.
 GDAHA_FAMILY_DATA_DIGESTS = {
     ("C_alpha", 1):
         "579368614e09a306336fbeeba104bdbfaf9d058a8cd016c6f105b9943e4824a6",
     ("C_alpha", 2):
-        "fde4d96aef7172ebf32b70ec66a01db11495069879a8b6070e35c51736fd23ab",
+        "2423e7587832c14e7ac707b33bd738869b7de613477e80a497adfe49e44618e8",
     ("C_alpha", 3):
-        "ee809e07eb507ba5d96706aeeb0bb4eed5e65296068ea709246b6bdfd338999b",
+        "917671d86b9f83795df19c9c7b695019ca09962660470cdd207827d3463d133e",
     ("C_alpha", 4):
-        "d9b1a20d52bfb2a84acd51c098aa46bf119a012c6905cb4bee442d52ec4008eb",
+        "09b81d8e6e5f2eb7a9fbb0c46bad337f13fc53ba13373abac46104565e716891",
     ("C_alpha", 5):
-        "1501fd46fc83b4c4e2a3025320ea032413d813f0e3ea6d320280eeef0450cd97",
+        "8bd58e2b0c2773d17b4cdc9a79d5d38e85aa703600673a268f3e144420c7d01d",
     ("G311", 1):
         "a508446403c66ff665c24d3f4149d4c04ab78b72c6c8afae0dfad606232072a1",
     ("G311", 2):

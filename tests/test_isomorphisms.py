@@ -124,15 +124,18 @@ def test_hint_tables_cover_round_trips():
 # SHA-256 of the certificate text of every proof in a full isomorphism
 # check, recorded before the prover's insertion positions and cancel scan
 # were pruned.  Pruning must only skip work, never change a certificate.
+# Re-recorded when the search put the relator shifts in one canonical
+# order (length, then letters), and the C3 hints followed the relators
+# into the diagram order.
 CERTIFICATE_DIGESTS = {
     ("C_alpha", 3, "hints"):
-        "98899dfdfba50b7c45fdb37ebfbab399f01427f502996c08ec1d29517fd57624",
+        "36cc10ae9cb4264f470c500c2c14567981f28752bb52eef388b20aae0d38021b",
     ("C_alpha", 2, "search"):
-        "620658284d346e1a77ba8b460a40fbdc9c09c8cee7d69f2aba204655cd9bed08",
+        "b2e8d0b5b3731f70ee579b39772eb3957f60aaf130752dbfa5fc63a9f015253c",
     ("C_alpha", 3, "search"):
-        "622665f8636603f90e270d75094edf012a148030df763c0571d693938aa56023",
+        "7905a9e7792052177e998e0572bc4bfe05b1105075b4ed5b41ba6a199a40df45",
     ("A_alpha", 3, "search"):
-        "b74da4d9d5b205ec61e07954b74796552f735add69206235e42638fa076f0adf",
+        "45c2e5af1e7ef182efc4545374810ecd002bc28091c1b8640ebcc5521644c62c",
 }
 
 

@@ -224,19 +224,21 @@ def test_group_families_tuple():
 # SHA-256 of presentation_to_text + diagram_to_dot for every family at
 # ranks 1-5, or the message of the rank error.  The abelianization goldens
 # do not see relator order or orientation; these digests do.  For types A
-# and C they also hold the relator order that the hint scripts, the pinned
-# certificates and the speed of the braid search depend on.
+# and C they also hold the relator order that the hint scripts and the
+# relator labels of the pinned certificates depend on; the search sees the
+# relators only up to order and inversion.  A_alpha 4-5 and C_alpha 2-5
+# were re-recorded when types A and C were read off their diagrams.
 PRESENTATION_DIGESTS = {
     ("A_alpha", 1): "type A needs n >= 2",
     ("A_alpha", 2): "3311e3bc9d4fe046851680b54bc6e0ee89bbe175535b3814c6827c7dd0f9d914",
     ("A_alpha", 3): "1fde9eae29d5cf67ab6d81dc87e48d30228445caeb024f36434740dd13c16380",
-    ("A_alpha", 4): "98c3345d18527a51fdb95878989e53eaa87e7c7843a309c9b75537522edb308e",
-    ("A_alpha", 5): "7c04716e3d35f8fbbf11c5d40ac575a2b89554bd631a07a71963b1bbc831f8c1",
+    ("A_alpha", 4): "6bffd1a06fc2f91d0c3146910c4881868b80a0fc8fe090442595de3c57ae023d",
+    ("A_alpha", 5): "82b51e1264c6522b624972090b37fa632861534ff587613b198f3fe6d8ec7125",
     ("C_alpha", 1): "3311e3bc9d4fe046851680b54bc6e0ee89bbe175535b3814c6827c7dd0f9d914",
-    ("C_alpha", 2): "1be70f11e3dcfd7efcfa8b06eccf05b38878ee3cb7395a3f8eeaacde03ad5198",
-    ("C_alpha", 3): "7820a4aae29d855dd4822adf5e2835c8229e23699e074ae2a33e7e88d46a6134",
-    ("C_alpha", 4): "8cd53270b635a7be74afd9fdcfe2df07bc948080956045906900a4e40f2801d2",
-    ("C_alpha", 5): "db5f08f672f7727e5e6f51ee8102c7783e000ceb6e624f1e5bdb82f66c10324c",
+    ("C_alpha", 2): "bba3709cc22487007ba0a6156c97da8e3f90772fa5aa286aeea72a385e100ef2",
+    ("C_alpha", 3): "03264bf1fd105b8ee62a201078f209fdd51995310c93f156ec08b1c7c59052af",
+    ("C_alpha", 4): "61f438fe0323c817512e89e9ebaef401db587d9f1f06cb1fd8b4668865b384a6",
+    ("C_alpha", 5): "4b915ceaf96e474e0caaf0abe2b98d3e0dd33535d0d6003694c1fd00d4e9ce87",
     ("G311", 1): "d77556d6296bd4cbb958a444222814312d5173078135987ab7f938e1f927f85d",
     ("G311", 2): "f0726ff89263eb1f1376e00f62baf3dad49eebf3016e5bf47c161cce6ebdecc1",
     ("G311", 3): "9721821178276a82a621317fea1949c799e724755d21637c3ab41fa8eadf84b5",

@@ -23,7 +23,10 @@ from crysref.prover import (
     symmetrized_relators,
     verify_homomorphism,
 )
-from crysref.prover import _chunks, _decode, _encode, _insert_and_reduce, _joins
+from crysref.isomorphisms import braid_isomorphism
+from crysref.prover import (
+    _chunks, _decode, _encode, _insert_and_reduce, _joins, _shifted,
+)
 from crysref.words import Word, free_reduce, parse_word
 
 NAMES = ("a", "b", "c")
@@ -71,7 +74,7 @@ def test_unknown_under_tiny_budget():
     assert res.status is ProofStatus.UNKNOWN
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "nan", "inf", "1e308"])
 def test_bad_budget_scale_raises_value_error(monkeypatch, value):
     monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)
     with pytest.raises(ValueError, match="^CRYSREF_BUDGET_SCALE must be"):
@@ -225,18 +228,17 @@ def _seam_positions_reference(seq, chunk):
 
 def _children_reference(seq, variants):
     """(v, s, pos, new) over letter tuples: every distinct cyclic shift,
-    first occurrence kept, at every seam position, inserted and freely
-    reduced by ``_insert_and_reduce``."""
-    seen = set()
+    first occurrence kept, in (length, letters) order, at every seam
+    position, inserted and freely reduced by ``_insert_and_reduce``."""
+    first = {}
     for v, variant in enumerate(variants):
         ls = variant.letters
         for s in range(len(ls)):
-            chunk = ls[s:] + ls[:s]
-            if chunk in seen:
-                continue
-            seen.add(chunk)
-            for pos in _seam_positions_reference(seq, chunk):
-                yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
+            first.setdefault(ls[s:] + ls[:s], (v, s))
+    for chunk in sorted(first, key=lambda c: (len(c), c)):
+        v, s = first[chunk]
+        for pos in _seam_positions_reference(seq, chunk):
+            yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
 
 
 RELATORS = st.lists(st.lists(LETTERS, min_size=1, max_size=6).map(Word)
@@ -262,6 +264,52 @@ def test_joins_match_tuple_reference(seq, relators, limit):
     assert [m[3] for m in got] == [len(m[3]) for m in want]
     assert [None if m[4] is None else _decode(m[4]) for m in got] == \
         [m[3] if len(m[3]) <= limit else None for m in want]
+
+
+# ---------------------------------------------------------------------
+# the search sees the relators only up to order and inversion
+
+
+def _reordered(relators):
+    """The relators reversed, every other one inverted."""
+    return [r if i % 2 else r.inverse() for i, r in enumerate(reversed(relators))]
+
+
+def _inserted_letters(res, relators):
+    """The status and steps of a proof, each insert naming the letters it
+    splices in rather than its ``Rv@s`` label."""
+    variants = symmetrized_relators(relators)
+    steps = res.certificate.steps if res.certificate else ()
+    return res.status, res.reason, [
+        ("insert", _shifted(variants[step[1]], step[2]), step[3])
+        if step[0] == "insert" else step for step in steps]
+
+
+def test_search_ignores_relator_order_and_orientation():
+    iso = braid_isomorphism("C_alpha", 3)
+    relators = iso.artin.relators
+    other = _reordered(relators)
+    for r in iso.braid.relators:
+        word = iso.fwd.apply(r)
+        res, alt = prove_trivial(word, relators), prove_trivial(word, other)
+        assert res.status is ProofStatus.PROVED
+        assert check_certificate(alt.certificate, word, other)
+        assert _inserted_letters(res, relators) == _inserted_letters(alt, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RELATORS, st.lists(st.tuples(st.lists(LETTERS, max_size=3),
+                                    st.integers(0, 5)), min_size=1, max_size=3))
+def test_search_ignores_relator_order_on_random_sets(relators, conjugates):
+    variants = symmetrized_relators(relators)
+    word = Word()
+    for u, i in conjugates:
+        u = Word(u)
+        word = word * u * variants[i % len(variants)] * u.inverse()
+    other = _reordered(relators)
+    budget = Budget(16, 12, 300)
+    assert _inserted_letters(prove_trivial(word, relators, budget), relators) \
+        == _inserted_letters(prove_trivial(word, other, budget), other)
 
 
 WIDE_LETTERS = st.tuples(st.integers(0, 300), st.sampled_from((1, -1)))
@@ -307,7 +355,8 @@ def test_unknown_names_the_limit_hit(budget, reason):
     assert res.reason == f"search budget exhausted: {reason}"
 
 
-@pytest.mark.parametrize("family,n", [("A_alpha", 3), ("C_alpha", 2)], ids=str)
+@pytest.mark.parametrize("family,n", [("A_alpha", 3), ("C_alpha", 2), ("G311", 3),
+                                      ("G411", 3), ("G611", 3)], ids=str)
 def test_proved_words_are_identity_matrices(family, n):
     # soundness oracle: every Proved certificate replays, and its word is
     # the identity under the affine matrix model of the group
