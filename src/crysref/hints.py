@@ -5,11 +5,12 @@ relator indices in the *target* presentation.  ``resolve_hint`` turns a
 script into a strict replayable certificate by picking the orientation,
 cyclic shift and insertion position with the best cancellation at each
 step, so a script records exactly *which* relations a derivation uses and
-in what order.  It enumerates the moves through the search's own child
+in what order.  It takes the hinted relator's shifts from the search's
+own chunk table and enumerates the moves through the search's own child
 routine: insertion positions are the seam-cancelling ones (where the
 relator's first or last letter cancels against the word) plus the two
-ends of the word, and the cancel steps are rebuilt along the winning
-chain only.
+ends of the word.  The cancel steps are rebuilt along the winning chain
+only, by the same reducer that rebuilds a search certificate's.
 
 Index conventions for the type-C rank-3 pair:
 

@@ -21,13 +21,17 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .snf import smith_normal_form
-from .words import Letter, Word, free_reduce
+from .words import Letter, Word
 
 
 class ProofStatus(Enum):
     PROVED = "proved"
     DISPROVED = "disproved"
     UNKNOWN = "unknown"
+
+
+_BAD_SCALE = ("CRYSREF_BUDGET_SCALE must be a number > 0 that keeps the search "
+              "budgets finite, got {!r}")
 
 
 def env_budget_scale() -> float:
@@ -42,10 +46,7 @@ def env_budget_scale() -> float:
     except ValueError:
         scale = math.nan
     if not (math.isfinite(scale * Budget.max_states) and scale > 0):
-        raise ValueError(
-            "CRYSREF_BUDGET_SCALE must be a number > 0 that keeps the search "
-            f"budgets finite, got {text!r}"
-        )
+        raise ValueError(_BAD_SCALE.format(text))
     return scale
 
 
@@ -58,9 +59,12 @@ class Budget:
     @classmethod
     def for_word(cls, w: Word) -> "Budget":
         scale = env_budget_scale()
-        base = 4 * len(w) + 32
+        # a word long enough overflows a scale that max_states allows
+        length = (4 * len(w) + 32) * scale
+        if not math.isfinite(length):
+            raise ValueError(_BAD_SCALE.format(os.environ["CRYSREF_BUDGET_SCALE"]))
         return cls(
-            max_word_length=max(8, int(base * scale)),
+            max_word_length=max(8, int(length)),
             max_depth=max(8, int(cls.max_depth * scale)),
             max_states=max(1000, int(cls.max_states * scale)),
         )
@@ -172,70 +176,52 @@ def check_certificate(
         return False
 
 
-def _insert_and_reduce(
-    seq: tuple[Letter, ...], chunk: tuple[Letter, ...], pos: int
-) -> tuple[tuple[Letter, ...], list[Step]]:
-    """Insert chunk at pos into the freely reduced seq and cancel greedily
-    around the seam, recording the cancel steps in certificate coordinates.
-
-    Because seq is freely reduced, the leftmost cancellable pair lies at
-    pos-1 or later, and nothing in the untouched rest of seq cancels: the
-    scan starts at the seam and stops on reaching that rest."""
-    work = list(seq[:pos]) + list(chunk) + list(seq[pos:])
-    steps: list[Step] = []
-    # tail: index in work where the remaining, uncancelled seq[pos:] starts
-    tail = pos + len(chunk)
-    # cancel from the leftmost cancellable pair repeatedly; positions are
-    # recorded against the current sequence, matching replay semantics
-    i = max(pos - 1, 0)
-    while i < tail and i < len(work) - 1:
-        a, b = work[i], work[i + 1]
-        if a[0] == b[0] and a[1] == -b[1]:
-            steps.append(_STEPS.setdefault(("cancel", i), ("cancel", i)))
-            del work[i : i + 2]
-            tail -= 1 if i + 1 == tail else 2
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return tuple(work), steps
-
-
 # A prover state is a str with one code point per letter, chr(2g + (e > 0)):
 # the inverse letter flips the low bit, and str order is letter-tuple order.
 def _encode(letters: Sequence[Letter]) -> str:
     return "".join([chr(2 * g + (e > 0)) for g, e in letters])
 
 
-def _decode(seq: str) -> tuple[Letter, ...]:
-    return tuple([(ord(c) >> 1, 1 if ord(c) & 1 else -1) for c in seq])
+def _reduce(seq: str) -> tuple[str, list[Step]]:
+    """The free reduction of seq and the cancel steps that replay it.
 
-
-def _chunks(variants: Sequence[Word], indices: Sequence[int]) -> list[tuple]:
-    """(v, s, head, tail, body, inv) per distinct cyclic shift s of the
-    variants v at indices, first occurrence kept: head and tail invert the
-    shift's end letters, body is the reduced shift, inv its letters inverted.
-
-    The chunks come in a canonical order, by the length and then the letters
-    of the unreduced shift, so the search sees only the set of relators up
-    to inversion: the order of the relator list changes only the ``Rv@s``
-    labels of a certificate, not the moves it tries or their ties."""
-    out: dict[str, tuple] = {}
-    for v in indices:
-        for s in range(len(variants[v].letters)):
-            raw = _shifted(variants[v], s)
-            body = free_reduce(raw)
-            inv = _encode([(g, -e) for g, e in body])
-            ends = _encode([(g, -e) for g, e in (raw[0], raw[-1])])
-            out.setdefault(_encode(raw), (v, s, *ends, _encode(body), inv))
-    return [out[r] for r in sorted(out, key=lambda r: (len(r), r))]
+    A stack reduction: a letter that inverts the top of the stack pops it,
+    a cancel at the top's position, so the pairs go leftmost first and each
+    position is counted against the sequence as replay sees it."""
+    stack: list[str] = []
+    cancels: list[Step] = []
+    for c in seq:
+        if stack and ord(stack[-1]) ^ 1 == ord(c):
+            stack.pop()
+            step = ("cancel", len(stack))
+            cancels.append(_STEPS.setdefault(step, step))
+        else:
+            stack.append(c)
+    return "".join(stack), cancels
 
 
 @functools.lru_cache(maxsize=16)
 def _relator_chunks(relators: tuple[Word, ...]) -> tuple[tuple, tuple]:
     """The symmetrized relators and the chunks of all their shifts, built
-    once per relator set: every proof against the same relators shares them."""
+    once per relator set and shared by every proof and hint against it.
+
+    A chunk is (v, s, head, tail, body, inv) per distinct cyclic shift s of
+    variant v, first occurrence kept: head and tail invert the shift's end
+    letters, body is the reduced shift, inv its letters inverted.  The
+    chunks come in a canonical order, by the length and then the letters
+    of the unreduced shift, so the search sees only the set of relators up
+    to inversion: the order of the relator list changes only the ``Rv@s``
+    labels of a certificate, not the moves it tries or their ties."""
     variants = tuple(symmetrized_relators(relators))
-    return variants, tuple(_chunks(variants, range(len(variants))))
+    out: dict[str, tuple] = {}
+    for v, variant in enumerate(variants):
+        for s in range(len(variant.letters)):
+            raw = _encode(_shifted(variant, s))
+            body = _reduce(raw)[0]
+            inv = "".join([chr(ord(c) ^ 1) for c in body])
+            ends = chr(ord(raw[0]) ^ 1), chr(ord(raw[-1]) ^ 1)
+            out.setdefault(raw, (v, s, *ends, body, inv))
+    return variants, tuple(out[r] for r in sorted(out, key=lambda r: (len(r), r)))
 
 
 def _joins(seq: str, chunks: Sequence[tuple], limit: int):
@@ -397,8 +383,9 @@ def _search(
 def _build_certificate(records, final, variants) -> Certificate:
     """The certificate of the chain ending at state final.  ``records``
     yields, last link first, the map holding each link's ``(parent, v, s,
-    pos, ...)``; a ``None`` parent ends the chain early.  The cancel steps
-    are recomputed on the decoded chain; equal steps share a ``_STEPS`` tuple."""
+    pos, ...)``; a ``None`` parent ends the chain early.  Each link's cancel
+    steps are those of ``_reduce`` on its parent with the shift spliced in
+    at pos; equal steps share a ``_STEPS`` tuple."""
     links = []
     for record in records:
         parent, v, s, pos = record[final][:4]
@@ -410,7 +397,8 @@ def _build_certificate(records, final, variants) -> Certificate:
     for parent, v, s, pos in reversed(links):
         step = ("insert", v, s, pos)
         steps.append(_STEPS.setdefault(step, step))
-        steps += _insert_and_reduce(_decode(parent), _shifted(variants[v], s), pos)[1]
+        chunk = _encode(_shifted(variants[v], s))
+        steps += _reduce(parent[:pos] + chunk + parent[pos:])[1]
     return Certificate(tuple(steps))
 
 
@@ -423,12 +411,13 @@ def resolve_hint(
 ) -> ProofResult:
     """Resolve a loose hint — an ordered sequence of relator indices —
     into a strict certificate.  At each step the search's ``_joins``
-    moves are tried for both orientations and every distinct shift of the
-    hinted relator, and a small beam of the shortest results is kept
-    (deterministic tie-break: length, variant/shift/position, then the
-    ``_encode`` string, ordered as its letters), so a hint only needs to
-    name the relations a derivation uses, in order."""
-    variants = symmetrized_relators(relators)
+    moves are tried for the chunks of the hinted relator in the search's
+    own ``_relator_chunks`` table (both orientations, every shift that no
+    earlier relator shares), and a small beam of the shortest results is
+    kept (deterministic tie-break: length, variant/shift/position, then
+    the ``_encode`` string, ordered as its letters), so a hint only needs
+    to name the relations a derivation uses, in order."""
+    variants, table = _relator_chunks(tuple(relators))
     beam_width = 8
     beam = [_encode(word.letters)]
     # per hint step, for each beam word: (parent, v, s, pos, tie_key)
@@ -436,7 +425,7 @@ def resolve_hint(
     for r in hint:
         if not 0 <= r < len(relators):
             return ProofResult(ProofStatus.UNKNOWN, reason=f"bad hint index {r}")
-        chunks = _chunks(variants, (2 * r, 2 * r + 1))
+        chunks = [c for c in table if c[0] >> 1 == r]
         candidates: dict[str, tuple] = {}
         for seq in beam:
             for v, s, pos, size, new in _joins(seq, chunks, sys.maxsize):

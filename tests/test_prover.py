@@ -24,9 +24,7 @@ from crysref.prover import (
     verify_homomorphism,
 )
 from crysref.isomorphisms import braid_isomorphism
-from crysref.prover import (
-    _chunks, _decode, _encode, _insert_and_reduce, _joins, _shifted,
-)
+from crysref.prover import _encode, _joins, _reduce, _relator_chunks, _shifted
 from crysref.words import Word, free_reduce, parse_word
 
 NAMES = ("a", "b", "c")
@@ -79,6 +77,14 @@ def test_bad_budget_scale_raises_value_error(monkeypatch, value):
     monkeypatch.setenv("CRYSREF_BUDGET_SCALE", value)
     with pytest.raises(ValueError, match="^CRYSREF_BUDGET_SCALE must be"):
         Budget.for_word(parse_word("a a", NAMES))
+
+
+def test_budget_scale_that_overflows_a_long_word_raises_value_error(monkeypatch):
+    # 200,000 * 8e302 is finite, so the scale passes env_budget_scale;
+    # the word's length budget (4 * 60,000 + 32) * 8e302 is not
+    monkeypatch.setenv("CRYSREF_BUDGET_SCALE", "8e302")
+    with pytest.raises(ValueError, match="^CRYSREF_BUDGET_SCALE must be"):
+        Budget.for_word(Word([(0, 1)] * 60_000))
 
 
 def test_certificate_text_round_trip():
@@ -176,9 +182,14 @@ def test_replay_soundness_on_random_relator_products(picks):
         assert check_certificate(res.certificate, w, REL)
 
 
+def _decode(seq):
+    """The letter tuple of an ``_encode`` string."""
+    return tuple([(ord(c) >> 1, 1 if ord(c) & 1 else -1) for c in seq])
+
+
 def _insert_and_reduce_full_scan(seq, chunk, pos):
-    """Reference for ``_insert_and_reduce``: cancel the leftmost inverse
-    pair, rescanning the whole word from index 0."""
+    """Reference for ``_reduce`` on seq with chunk inserted at pos: cancel
+    the leftmost inverse pair, rescanning the whole word from index 0."""
     work = list(seq[:pos]) + list(chunk) + list(seq[pos:])
     steps = []
     i = 0
@@ -200,12 +211,13 @@ LETTERS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
 @given(st.lists(LETTERS, max_size=14), st.lists(LETTERS, max_size=10),
        st.data())
 def test_insert_and_reduce_matches_full_scan(raw, chunk, data):
-    # the seam-started scan must agree with a scan from index 0 on any
-    # freely reduced seq, any chunk (reduced or not) and any position
-    seq = free_reduce(raw)
-    chunk = tuple(chunk)
+    # the stack reduction must agree with a scan from index 0, word and
+    # cancel steps alike, on any seq and chunk (reduced or not) and any
+    # position
+    seq, chunk = tuple(raw), tuple(chunk)
     pos = data.draw(st.integers(0, len(seq)), label="pos")
-    assert _insert_and_reduce(seq, chunk, pos) == \
+    reduced, cancels = _reduce(_encode(seq[:pos] + chunk + seq[pos:]))
+    assert (_decode(reduced), cancels) == \
         _insert_and_reduce_full_scan(seq, chunk, pos)
 
 
@@ -229,7 +241,7 @@ def _seam_positions_reference(seq, chunk):
 def _children_reference(seq, variants):
     """(v, s, pos, new) over letter tuples: every distinct cyclic shift,
     first occurrence kept, in (length, letters) order, at every seam
-    position, inserted and freely reduced by ``_insert_and_reduce``."""
+    position, inserted and freely reduced by the full-scan reference."""
     first = {}
     for v, variant in enumerate(variants):
         ls = variant.letters
@@ -238,7 +250,7 @@ def _children_reference(seq, variants):
     for chunk in sorted(first, key=lambda c: (len(c), c)):
         v, s = first[chunk]
         for pos in _seam_positions_reference(seq, chunk):
-            yield v, s, pos, _insert_and_reduce(seq, chunk, pos)[0]
+            yield v, s, pos, _insert_and_reduce_full_scan(seq, chunk, pos)[0]
 
 
 RELATORS = st.lists(st.lists(LETTERS, min_size=1, max_size=6).map(Word)
@@ -257,13 +269,65 @@ def test_joins_match_tuple_reference(seq, relators, limit):
     # are not freely reduced: their raw ends must still pick the positions;
     # a move longer than limit keeps its size but is not joined
     variants = symmetrized_relators(relators)
-    chunks = _chunks(variants, range(len(variants)))
+    chunks = _relator_chunks(tuple(relators))[1]
     got = list(_joins(_encode(seq), chunks, limit))
     want = list(_children_reference(seq, variants))
     assert [m[:3] for m in got] == [m[:3] for m in want]
     assert [m[3] for m in got] == [len(m[3]) for m in want]
     assert [None if m[4] is None else _decode(m[4]) for m in got] == \
         [m[3] if len(m[3]) <= limit else None for m in want]
+
+
+# ---------------------------------------------------------------------
+# certificate text and replay on arbitrary input
+
+# step numbers and operands: small ints, any non-negative int, or any run
+# of Unicode decimal digits (which ``\d`` and ``int`` both accept)
+NUMERALS = st.one_of(st.integers(0, 12).map(str), st.integers(0).map(str),
+                     st.from_regex(r"\d{1,6}", fullmatch=True))
+
+
+@st.composite
+def certificate_texts(draw):
+    """Certificate-like text: mostly well-formed lines, numbered in order
+    or not, padded or not, mixed with blank and arbitrary lines."""
+    lines = []
+    for k in range(draw(st.integers(0, 6))):
+        num = draw(st.one_of(st.just(str(k)), NUMERALS))
+        line = draw(st.one_of(
+            st.builds(f"step {num}: insert R{{}}@{{}} at {{}}".format,
+                      NUMERALS, NUMERALS, NUMERALS),
+            st.builds(f"step {num}: cancel at {{}}".format, NUMERALS),
+            st.sampled_from(["", "   ", f"step {num}: cancel at -1",
+                             f"step {num}: insert R1 at 0"]),
+            st.text(max_size=24),
+        ))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\n\n"]))
+    return sep.join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+INTS = st.one_of(st.integers(-3, 12), st.integers())
+STEPS = st.one_of(st.tuples(st.just("insert"), INTS, INTS, INTS),
+                  st.tuples(st.just("cancel"), INTS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(certificate_texts(), st.lists(LETTERS, max_size=8).map(Word))
+def test_certificate_text_parses_or_raises_value_error(text, word):
+    try:
+        cert = Certificate.from_text(text)
+    except ValueError:
+        return
+    assert Certificate.from_text(cert.to_text()) == cert
+    assert check_certificate(cert, word, REL) in (True, False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(STEPS, max_size=8).map(tuple),
+       st.lists(LETTERS, max_size=8).map(Word), st.one_of(st.just(REL), RELATORS))
+def test_check_certificate_never_raises(steps, word, relators):
+    assert check_certificate(Certificate(steps), word, relators) in (True, False)
 
 
 # ---------------------------------------------------------------------
