@@ -323,6 +323,14 @@ def classify_element(a: AffineElement) -> dict:
     return {"kind": "other", "finite_order": k is not None, "moved_rank": rank}
 
 
+# the most extended candidates enumerate_reflection_classes builds.  The
+# slowest input at a given count is bound 0 at the largest rank, each
+# candidate costing O(n) per conjugation by the n + 1 generators.  On a
+# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 46.6 s
+# and 29 MB, n=38 (17,575) 60.1 s; A_alpha n=3 bound 34 (15,987) 1.7 s
+MAX_CANDIDATES = 16_000
+
+
 def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[dict]:
     """Conjugacy classes of reflections, via closure of generator
     conjugation on a bounded translation grid.
@@ -330,9 +338,15 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
     Candidate reflections have translation coefficients bounded by
     ``bound``; the merging closure works on a grid extended by 2 so that
     conjugation paths may pass slightly outside the candidate box.
+    Raises ValueError, naming both numbers, when the extended grid has
+    more than ``MAX_CANDIDATES`` candidates.
     """
     if family not in ("A_alpha", "C_alpha"):
         raise UnsupportedFamily(f"no class enumeration for {family}; choose A_alpha or C_alpha")
+    count = _candidate_count(family, max(n, 0), bound + 2)
+    if count > MAX_CANDIDATES:
+        raise ValueError(f"bound {bound} needs {count} candidate reflections "
+                         f"for {family} n={n}, over the cap of {MAX_CANDIDATES}")
     spec, gens = build_generator_matrices(family, n)
     candidates = _reflection_candidates(family, spec, n, bound)
     # the union-find runs on the extended candidates' list indices: an
@@ -375,6 +389,15 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
         )
     out.sort(key=lambda e: e["representative"])
     return out
+
+
+def _candidate_count(family: str, n: int, bound: int) -> int:
+    """``len(_reflection_candidates(family, spec, n, bound))``, without
+    building them: each of the n(n-1)/2 transpositions, and for C_alpha
+    each signed transposition and each of the n sign changes, takes every
+    translation coefficient pair in the (2·bound + 1)² box."""
+    pairs = n * n if family == "C_alpha" else n * (n - 1) // 2
+    return pairs * (2 * bound + 1) ** 2
 
 
 def _reflection_candidates(

@@ -7,6 +7,7 @@ Unknown, else 1 if the report's ``pass`` is false, else 0.  So braid,
 prove and both prover-backed hecke checks (gdaha-check, tripledot) exit
 2 when a proof ends Unknown and none is disproved.  A usage error exits
 64 and is one ``error:`` line on stderr, argparse's own included.
+A command that runs out of memory exits 70 with one ``error:`` line.
 ``--json`` emits a machine-readable report (``"schema": 1``).  The
 environment variable ``CRYSREF_BUDGET_SCALE`` multiplies all search
 budgets; it must be a number > 0 that keeps them finite.  If the reader
@@ -57,6 +58,7 @@ from .prover import (
 from .words import parse_word
 
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -141,8 +143,11 @@ def cmd_abelianize(args) -> dict:
 def cmd_classes(args) -> dict:
     if args.bound < 0:
         raise _UsageError(f"--bound must be >= 0, got {args.bound}")
-    classes = enumerate_reflection_classes(args.family, args.n,
-                                           bound=args.bound)
+    try:
+        classes = enumerate_reflection_classes(args.family, args.n,
+                                               bound=args.bound)
+    except ValueError as exc:  # a bad rank or family, or over the cap
+        raise _UsageError(str(exc)) from exc
     return {"count": len(classes), "classes": classes, "pass": True}
 
 
@@ -327,6 +332,9 @@ def main(argv=None) -> int:
     except (_UsageError, RankOutOfRange, UnsupportedFamily) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EX_SOFTWARE
     statuses = [report.get("status")]  # prove reports its one proof inline
     report = _jsonable({"schema": 1, "command": args.command, **report,
                         "wall_time": round(time.perf_counter() - start, 3)},

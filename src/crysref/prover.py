@@ -76,7 +76,7 @@ Step = tuple
 _STEPS: dict[Step, Step] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Replayable proof that a word reduces to the empty word.
 
@@ -119,11 +119,15 @@ class Certificate:
         return cls(tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofResult:
     status: ProofStatus
     certificate: Optional[Certificate] = None
     reason: str = ""
+
+
+# the proof of the empty word; frozen, so every caller shares it
+_EMPTY_PROOF = ProofResult(ProofStatus.PROVED, Certificate(()))
 
 
 def symmetrized_relators(relators: Sequence[Word]) -> list[Word]:
@@ -291,7 +295,7 @@ def prove_trivial(
     pops, so ``max_states`` bounds the memory.
     """
     if not word:
-        return ProofResult(ProofStatus.PROVED, Certificate(()))
+        return _EMPTY_PROOF
     if abelian_obstruction(word, relators):
         return ProofResult(
             ProofStatus.DISPROVED, reason="abelianized image is nontrivial"
@@ -416,7 +420,13 @@ def resolve_hint(
     earlier relator shares), and a small beam of the shortest results is
     kept (deterministic tie-break: length, variant/shift/position, then
     the ``_encode`` string, ordered as its letters), so a hint only needs
-    to name the relations a derivation uses, in order."""
+    to name the relations a derivation uses, in order.
+
+    The beam words are visited in beam order.  Once a step has found as
+    many distinct words as the beam holds, the largest size among the
+    shortest of them bounds the joins of the words still to visit: a
+    longer move cannot enter the beam, and every move up to the bound is
+    still joined, so the beam is the one a full join would keep."""
     variants, table = _relator_chunks(tuple(relators))
     beam_width = 8
     beam = [_encode(word.letters)]
@@ -426,15 +436,21 @@ def resolve_hint(
         if not 0 <= r < len(relators):
             return ProofResult(ProofStatus.UNKNOWN, reason=f"bad hint index {r}")
         chunks = [c for c in table if c[0] >> 1 == r]
+        if not chunks:
+            return ProofResult(ProofStatus.UNKNOWN,
+                               reason=_shared_relator_reason(variants, table, r))
         candidates: dict[str, tuple] = {}
+        limit = sys.maxsize
         for seq in beam:
-            for v, s, pos, size, new in _joins(seq, chunks, sys.maxsize):
+            for v, s, pos, size, new in _joins(seq, chunks, limit):
+                if new is None:
+                    continue
                 key = (size, v, s, pos)
                 prev = candidates.get(new)
                 if prev is None or key < prev[4]:
                     candidates[new] = (seq, v, s, pos, key)
-        if not candidates:
-            return ProofResult(ProofStatus.UNKNOWN, reason="empty relator in hint")
+            if len(candidates) >= beam_width:
+                limit = sorted([c[4][0] for c in candidates.values()])[beam_width - 1]
         beam = sorted(candidates, key=lambda w: (candidates[w][4], w))[:beam_width]
         history.append({w: candidates[w] for w in beam})
     if "" in beam:
@@ -444,6 +460,17 @@ def resolve_hint(
     return ProofResult(
         ProofStatus.UNKNOWN, reason="hint did not reach the empty word"
     )
+
+
+def _shared_relator_reason(variants, table, r: int) -> str:
+    """Why relator r has no chunk: an earlier relator (the owner of its
+    first shift in ``table``) has all its shifts, or it has no letters."""
+    raw = _encode(variants[2 * r].letters)
+    for v, s, *_ in table:
+        if _encode(_shifted(variants[v], s)) == raw:
+            return (f"hint relator {r} is relator {v >> 1} up to shift "
+                    "and inversion; its moves are under that index")
+    return "empty relator in hint"
 
 
 # ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from crysref import affine
 from crysref.affine import (
     MATRIX_FAMILIES,
     AffineElement,
@@ -17,6 +18,7 @@ from crysref.affine import (
     linear_minus_identity_rank,
     verify_presentation,
 )
+from crysref.affine import _candidate_count, _reflection_candidates
 from crysref.presentations import build_group_presentation
 from crysref.ring import FormalAlphaOverflow, RingSpec, SpecMismatchError
 from crysref.words import Word, parse_word
@@ -222,6 +224,24 @@ def test_reflection_classes_are_pinned(family, n):
     # the class counts
     text = json.dumps(enumerate_reflection_classes(family, n, 2), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLASS_DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("family,n,bound", [
+    ("A_alpha", 2, 0), ("A_alpha", 5, 4), ("C_alpha", 1, 1), ("C_alpha", 3, 4)])
+def test_candidate_count_matches_the_candidates(family, n, bound):
+    spec, _ = build_generator_matrices(family, n)
+    assert _candidate_count(family, n, bound) == \
+        len(_reflection_candidates(family, spec, n, bound))
+
+
+def test_candidate_cap_admits_its_own_count(monkeypatch):
+    # C_alpha 1 at bound 2 has 9^2 = 81 extended candidates
+    monkeypatch.setattr(affine, "MAX_CANDIDATES", 81)
+    assert len(enumerate_reflection_classes("C_alpha", 1, 2)) == 4
+    monkeypatch.setattr(affine, "MAX_CANDIDATES", 80)
+    with pytest.raises(ValueError, match="^bound 2 needs 81 candidate "
+                       "reflections for C_alpha n=1, over the cap of 80$"):
+        enumerate_reflection_classes("C_alpha", 1, 2)
 
 
 def _stored(spec, x):

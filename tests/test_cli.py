@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import crysref
+from crysref import cli
 from crysref.cli import main
 
 
@@ -95,6 +96,31 @@ def test_classes_negative_bound_is_usage_error(capsys):
     assert code == 64
     assert out == ""
     assert err == "error: --bound must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("family,n,bound,count", [
+    ("A_alpha", "3", "99999", 3 * 200_003 ** 2),
+    ("C_alpha", "2", "61", 4 * 127 ** 2),
+    ("A_alpha", "38", "0", 17_575),
+])
+def test_classes_over_the_candidate_cap_is_usage_error(capsys, family, n,
+                                                       bound, count):
+    code, out, err = run(capsys, "classes", family, n, "--bound", bound)
+    assert code == 64
+    assert out == ""
+    assert err == (f"error: bound {bound} needs {count} candidate reflections "
+                   f"for {family} n={n}, over the cap of 16000\n")
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    code, out, err = run(capsys, "verify", "A_alpha", "3")
+    assert code == 70
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("family", ["G311", "G411", "G611"])

@@ -24,7 +24,14 @@ from crysref.prover import (
     verify_homomorphism,
 )
 from crysref.isomorphisms import braid_isomorphism
-from crysref.prover import _encode, _joins, _reduce, _relator_chunks, _shifted
+from crysref.prover import (
+    _build_certificate,
+    _encode,
+    _joins,
+    _reduce,
+    _relator_chunks,
+    _shifted,
+)
 from crysref.words import Word, free_reduce, parse_word
 
 NAMES = ("a", "b", "c")
@@ -40,6 +47,10 @@ def test_trivial_word_immediately_proved():
     res = prove_trivial(Word(), REL)
     assert res.status is ProofStatus.PROVED
     assert res.certificate.steps == ()
+
+
+def test_empty_word_shares_one_result():
+    assert prove_trivial(Word(), REL) is prove_trivial(Word(), ())
 
 
 def test_simple_proof_and_replay():
@@ -127,6 +138,20 @@ def test_resolve_hint_produces_strict_certificate():
 def test_resolve_hint_bad_index():
     res = resolve_hint(parse_word("a a", NAMES), REL, [17])
     assert res.status is ProofStatus.UNKNOWN
+
+
+def test_resolve_hint_names_the_relator_that_has_the_shifts():
+    # every shift of relator 1 is relator 0's, so its moves are all under
+    # index 0: a hint naming 1 finds none and says where they are
+    r = parse_word("a b a b", NAMES)
+    res = resolve_hint(r, [r, r], [1])
+    assert res.status is ProofStatus.UNKNOWN
+    assert res.reason == ("hint relator 1 is relator 0 up to shift and "
+                          "inversion; its moves are under that index")
+    assert resolve_hint(r, [r, r], [0]).status is ProofStatus.PROVED
+    # a relator with no letters has no shift at all
+    res = resolve_hint(r, [Word(), r], [0])
+    assert res.reason == "empty relator in hint"
 
 
 def test_cyclic_invariance_of_proofs():
@@ -276,6 +301,87 @@ def test_joins_match_tuple_reference(seq, relators, limit):
     assert [m[3] for m in got] == [len(m[3]) for m in want]
     assert [None if m[4] is None else _decode(m[4]) for m in got] == \
         [m[3] if len(m[3]) <= limit else None for m in want]
+
+
+# ---------------------------------------------------------------------
+# the hint beam bound against a resolver that joins every move
+
+
+def _shared_relator_reason_reference(relators, r):
+    """The reason for a hint step naming relator r when it has no chunk:
+    the first earlier relator that has it among its shifts or those of its
+    inverse, read off the letters."""
+    def shifts(w):
+        ls = w.letters
+        return {ls[s:] + ls[:s] for s in range(len(ls))}
+
+    for q in range(r):
+        if relators[r].letters in shifts(relators[q]) | shifts(relators[q].inverse()):
+            return (f"hint relator {r} is relator {q} up to shift and "
+                    "inversion; its moves are under that index")
+    return "empty relator in hint"
+
+
+def _resolve_hint_full_join(word, relators, hint):
+    """Reference: the hint resolver without the beam bound.  It joins and
+    ranks every move of every beam word; returns (status, reason,
+    certificate text)."""
+    variants, table = _relator_chunks(tuple(relators))
+    beam = [_encode(word.letters)]
+    history = []
+    for r in hint:
+        if not 0 <= r < len(relators):
+            return ProofStatus.UNKNOWN, f"bad hint index {r}", None
+        chunks = [c for c in table if c[0] >> 1 == r]
+        candidates = {}
+        for seq in beam:
+            for v, s, pos, size, new in _joins(seq, chunks, sys.maxsize):
+                key = (size, v, s, pos)
+                prev = candidates.get(new)
+                if prev is None or key < prev[4]:
+                    candidates[new] = (seq, v, s, pos, key)
+        if not candidates:
+            return (ProofStatus.UNKNOWN,
+                    _shared_relator_reason_reference(relators, r), None)
+        beam = sorted(candidates, key=lambda w: (candidates[w][4], w))[:8]
+        history.append({w: candidates[w] for w in beam})
+    if "" in beam:
+        cert = _build_certificate(reversed(history), "", variants)
+        return ProofStatus.PROVED, "", cert.to_text()
+    return ProofStatus.UNKNOWN, "hint did not reach the empty word", None
+
+
+@st.composite
+def hinted_words(draw):
+    """A relator set with duplicates (a copy, maybe shifted or inverted,
+    of a drawn relator), a product of conjugated relators and its hint,
+    or else a random hint, out-of-range indices included."""
+    relators = draw(RELATORS)
+    for _ in range(draw(st.integers(0, 2))):
+        copy = Word(_shifted(draw(st.sampled_from(relators)), draw(st.integers(0, 5))))
+        if draw(st.booleans()):
+            copy = copy.inverse()
+        relators.insert(draw(st.integers(0, len(relators))), copy)
+    variants = symmetrized_relators(relators)
+    word, hint = Word(), []
+    for u, i in draw(st.lists(st.tuples(st.lists(LETTERS, max_size=4),
+                                        st.integers(0, 9)), min_size=1, max_size=6)):
+        u, i = Word(u), i % len(variants)
+        word = word * u * variants[i] * u.inverse()
+        hint.append(i >> 1)
+    if draw(st.booleans()):
+        hint = draw(st.lists(st.integers(-1, len(relators)), max_size=5))
+    return relators, word, hint
+
+
+@settings(max_examples=500, deadline=None)
+@given(hinted_words())
+def test_bounded_beam_matches_full_join(case):
+    relators, word, hint = case
+    res = resolve_hint(word, relators, hint)
+    text = res.certificate.to_text() if res.certificate else None
+    assert (res.status, res.reason, text) == \
+        _resolve_hint_full_join(word, relators, hint)
 
 
 # ---------------------------------------------------------------------
