@@ -8,9 +8,11 @@ a ring of exact scalars.  Composition follows
 rank of g - 1 and the order of g are read off the cycles of perm.
 
 Scalars are stored as int pairs (a, b) meaning a + b*w, and multiplied by
-the ring's one pair multiply, ``RingSpec.mul``.  ``RingElement`` appears
-only at the edges: ``linear``, ``translation``, ``apply`` and ``cycles``
-return it, and printing and JSON read it.
+the ring's one pair multiply, ``RingSpec.mul``.  ``_compose`` is the one
+product, on raw (perm, units, shift) triples; the class closure calls it
+without building elements.  ``RingElement`` appears only at the edges:
+``linear``, ``translation``, ``apply`` and ``cycles`` return it, and
+printing and JSON read it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,22 @@ Matrix = tuple[tuple[RingElement, ...], ...]
 Vector = tuple[RingElement, ...]
 Pairs = tuple[Pair, ...]
 Monomial = tuple[tuple[int, ...], Pairs]  # (perm, units)
+Triple = tuple[tuple[int, ...], Pairs, Pairs]  # (perm, units, shift)
+
+
+def _compose(mul, x: Triple, y: Triple) -> Triple:
+    """The triple of x·y: (g | t)(g' | t') = (g g' | g t' + t).  A unit
+    (1, 0) of g skips ``mul``, which is exact and can never overflow."""
+    (perm, units, shift), (perm2, units2, shift2) = x, y
+    out_units, out_shift = [], []
+    for p, u, (a, b) in zip(perm, units, shift):
+        if u == (1, 0):
+            v, (c, d) = units2[p], shift2[p]
+        else:
+            v, (c, d) = mul(u, units2[p]), mul(u, shift2[p])
+        out_units.append(v)
+        out_shift.append((c + a, d + b))
+    return tuple(perm2[p] for p in perm), tuple(out_units), tuple(out_shift)
 
 
 @dataclass(frozen=True)
@@ -74,24 +92,24 @@ class AffineElement:
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.spec != other.spec or self.dim != other.dim:
             raise SpecMismatchError("cannot compose over different rings/dims")
-        mul, perm, units = self.spec.mul, other.perm, other.units
-        return AffineElement(
-            self.spec,
-            tuple(perm[p] for p in self.perm),
-            tuple(mul(u, units[p]) for p, u in zip(self.perm, self.units)),
-            self._apply(other.shift),
-        )
+        return AffineElement(self.spec, *_compose(
+            self.spec.mul, self.triple, other.triple))
+
+    @property
+    def triple(self) -> Triple:
+        return self.perm, self.units, self.shift
 
     def inverse(self) -> "AffineElement":
-        """Entry units[i] at (i, perm[i]) moves to (perm[i], i), inverted."""
-        n, inv, mul = self.dim, self.spec.inv, self.spec.mul
+        """(g⁻¹ | 0)(1 | -t); units[i] at (i, perm[i]) moves to (perm[i], i)."""
+        n, inv = self.dim, self.spec.inv
         perm = [0] * n
         units = [(1, 0)] * n
         for i, (p, u) in enumerate(zip(self.perm, self.units)):
             perm[p] = i
             units[p] = inv(u)
-        shift = tuple(mul((-a, -b), self.shift[p]) for p, (a, b) in zip(perm, units))
-        return AffineElement(self.spec, tuple(perm), tuple(units), shift)
+        neg = tuple(range(n)), ((1, 0),) * n, tuple((-a, -b) for a, b in self.shift)
+        return AffineElement(self.spec, *_compose(
+            self.spec.mul, (tuple(perm), tuple(units), ((0, 0),) * n), neg))
 
     def __pow__(self, k: int) -> "AffineElement":
         if k < 0:
@@ -144,18 +162,14 @@ class AffineElement:
             k = lcm(k, m * e)
         return k if (self ** k).is_identity() else None
 
-    def _apply(self, v: Pairs) -> Pairs:
-        mul = self.spec.mul
-        out = []
-        for p, u, (a, b) in zip(self.perm, self.units, self.shift):
-            x, y = mul(u, v[p])
-            out.append((x + a, y + b))
-        return tuple(out)
-
     def apply(self, v: Vector) -> Vector:
+        """g v + t: the shift of the product with the translation (1 | v)."""
         if any(x.spec != self.spec for x in v):
             raise SpecMismatchError("vector entry from a different ring")
-        return tuple(self.spec.el(*x) for x in self._apply([(x.a, x.b) for x in v]))
+        n = len(v)
+        by_v = tuple(range(n)), ((1, 0),) * n, tuple((x.a, x.b) for x in v)
+        _, _, shift = _compose(self.spec.mul, self.triple, by_v)
+        return tuple(self.spec.el(*x) for x in shift)
 
     def __str__(self) -> str:
         rows = "; ".join(
@@ -326,8 +340,8 @@ def classify_element(a: AffineElement) -> dict:
 # the most extended candidates enumerate_reflection_classes builds.  The
 # slowest input at a given count is bound 0 at the largest rank, each
 # candidate costing O(n) per conjugation by the n + 1 generators.  On a
-# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 46.6 s
-# and 29 MB, n=38 (17,575) 60.1 s; A_alpha n=3 bound 34 (15,987) 1.7 s
+# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 10.1 s
+# and 29 MB, n=38 (17,575) 11.8 s; A_alpha n=3 bound 34 (15,987) 0.6 s
 MAX_CANDIDATES = 16_000
 
 
@@ -348,11 +362,10 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
         raise ValueError(f"bound {bound} needs {count} candidate reflections "
                          f"for {family} n={n}, over the cap of {MAX_CANDIDATES}")
     spec, gens = build_generator_matrices(family, n)
-    candidates = _reflection_candidates(family, spec, n, bound)
-    # the union-find runs on the extended candidates' list indices: an
-    # element is hashed once to number it, a conjugate once to look it up
+    # the union-find runs on the extended candidates' list indices, keyed by
+    # their raw triples, so no element is built for a conjugate
     extended = _reflection_candidates(family, spec, n, bound + 2)
-    index = {x: i for i, x in enumerate(extended)}
+    index = {x.triple: i for i, x in enumerate(extended)}
     parent = list(range(len(extended)))
 
     def find(i: int) -> int:
@@ -364,17 +377,19 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
     # the conjugation edges are a fixed graph; one pass over all edges is
     # enough for union-find connectivity.  y = c·x·c⁻¹ exactly when
     # x = c⁻¹·y·c, so conjugating by the generators alone finds every edge
-    conjugators = [(g, g.inverse()) for g in gens]
-    for i, x in enumerate(extended):
+    mul, conjugators = spec.mul, [(g.triple, g.inverse().triple) for g in gens]
+    for i, x in enumerate(index):
         for c, c_inv in conjugators:
-            j = index.get(c * x * c_inv)
+            j = index.get(_compose(mul, _compose(mul, c, x), c_inv))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
+    # the candidates at bound: the extended ones within bound, in order
     classes: dict[int, list[AffineElement]] = {}
-    for x in candidates:
-        classes.setdefault(find(index[x]), []).append(x)
+    for i, x in enumerate(extended):
+        if all(abs(c) <= bound for pair in x.shift for c in pair):
+            classes.setdefault(find(i), []).append(x)
     out = []
     for members in classes.values():
         rep = min(members, key=str)

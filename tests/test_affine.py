@@ -18,7 +18,7 @@ from crysref.affine import (
     linear_minus_identity_rank,
     verify_presentation,
 )
-from crysref.affine import _candidate_count, _reflection_candidates
+from crysref.affine import _candidate_count, _compose, _reflection_candidates
 from crysref.presentations import build_group_presentation
 from crysref.ring import FormalAlphaOverflow, RingSpec, SpecMismatchError
 from crysref.words import Word, parse_word
@@ -226,6 +226,42 @@ def test_reflection_classes_are_pinned(family, n):
     assert hashlib.sha256(text.encode()).hexdigest() == CLASS_DIGESTS[family, n]
 
 
+# the same digest at bounds 0, 1 and 3, for every rank that ALL_CASES checks
+WIDE_CLASS_DIGESTS = {
+    ("A_alpha", 2, 0): "2f7b4b8b18a64205efcd7f97fa7cc00f406d1c8406953b3a7c3426f967f1c3c8",
+    ("A_alpha", 2, 1): "9a6171b9920450ad07b1d16e00d407cc093c5c3a96d8e7dbd0261e0db8c2ad1c",
+    ("A_alpha", 2, 3): "f115cde939d6e7b725b327268cd55dc7d62dbc5d33dd6d11d7b9af0577061286",
+    ("A_alpha", 3, 0): "d04aeb50b01ce1a20c75806ee04ef180d6f9d3eef5fe1e209982be41b628f689",
+    ("A_alpha", 3, 1): "115e7e6cdbfe93d486f521d5d28ea90865d5f580a4c6f353e89ee6114975637e",
+    ("A_alpha", 3, 3): "f83da35adaa5bf8f607cde80fbb21f35f73f1d12af69f80168e6ae3edff2629e",
+    ("A_alpha", 4, 0): "8b4ad24546395105d3cc352b6c15ca51237ee25efcca90e649d0242edf809cef",
+    ("A_alpha", 4, 1): "f698449c6851561307d23adf757f965c446c6280e852fb03b0e2648a0c581b88",
+    ("A_alpha", 4, 3): "bcdbea49d453f153b47f22a5ad6ee3e2a2c367a0594d7a910fe5cd6fbe7fe585",
+    ("A_alpha", 5, 0): "de2a27956908dd22f47eeab050e625606e37ceb5dd16319abf8299bfad3ec604",
+    ("A_alpha", 5, 1): "21ec381230df5af5fbbac934609eec62cc5ff0ff76526b0c5858dc293121815d",
+    ("A_alpha", 5, 3): "bb3c1032ebfa0028fb1e1c1de3b8e58677450be77fe011a070d7f02fab5861f6",
+    ("C_alpha", 1, 0): "81c45bfb23bfe0f5b9e371764d3caed3543e8816e523a3f18737433d19ca4747",
+    ("C_alpha", 1, 1): "54bf3d4bc57e6c2cffdab54435badda062871e248f40b3ad0ae1b362ed0fbd35",
+    ("C_alpha", 1, 3): "064b672398ad152c5ea2a718fda06b7ffc20cef6608eba012c4f6e7de94e3791",
+    ("C_alpha", 2, 0): "6de45bb34326b23ff89e5081a6c2ec945a0d6669e1b1b768b59ae3e8b672b604",
+    ("C_alpha", 2, 1): "88da313526976605f07e71926179ee4acf517d56170ab9e75212f950b2767a24",
+    ("C_alpha", 2, 3): "091db4dbe530429961f0150ca3cb1fb6144f340fa81d364e81325e6908755179",
+    ("C_alpha", 3, 0): "719717faf84df3cf63a0e2e52fb7c7679571d42a3b03dfc62a6823d047b49b7c",
+    ("C_alpha", 3, 1): "bb6d065ed171f72cedb6b74296f4253e98203770135a13b3dd7462f77d998cb5",
+    ("C_alpha", 3, 3): "e8761dc87298c96fef90bb845a7ad79cd4f19352f1deb672c287c6d4b75fac3f",
+    ("C_alpha", 4, 0): "38c801f5558dbc62406e2b05b711fc2b1e75118e5aa92b412bda2b37acc0aa03",
+    ("C_alpha", 4, 1): "36d2ff55df55e64455f802e00877be8fbdebf1d782e7f84157b32c8b97a84a2e",
+    ("C_alpha", 4, 3): "caac40512c377358a136e5a3c2073d964d7bc6c7b080cd323b28f85df1d6bdc2",
+}
+
+
+@pytest.mark.parametrize("family,n,bound", sorted(WIDE_CLASS_DIGESTS), ids=str)
+def test_reflection_classes_are_pinned_at_other_bounds(family, n, bound):
+    text = json.dumps(enumerate_reflection_classes(family, n, bound), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        WIDE_CLASS_DIGESTS[family, n, bound]
+
+
 @pytest.mark.parametrize("family,n,bound", [
     ("A_alpha", 2, 0), ("A_alpha", 5, 4), ("C_alpha", 1, 1), ("C_alpha", 3, 4)])
 def test_candidate_count_matches_the_candidates(family, n, bound):
@@ -287,3 +323,70 @@ def test_matrix_families_constant():
     assert set(MATRIX_FAMILIES) == {"A_alpha", "C_alpha", "G311", "G411", "G611"}
     with pytest.raises(Exception):
         build_generator_matrices("G412", 2)
+
+
+def _reference_product(spec, x, y):
+    """The product of two raw triples as ``AffineElement.__mul__`` formed
+    it before ``_compose``: every unit and shift entry through
+    ``spec.mul``, units first."""
+    (perm, units, shift), (perm2, units2, shift2) = x, y
+    mul = spec.mul
+    out_units = tuple(mul(u, units2[p]) for p, u in zip(perm, units))
+    out_shift = []
+    for p, u, (a, b) in zip(perm, units, shift):
+        c, d = mul(u, shift2[p])
+        out_shift.append((c + a, d + b))
+    return tuple(perm2[p] for p in perm), out_units, tuple(out_shift)
+
+
+SPECS = [RingSpec(), RingSpec(3), RingSpec(4), RingSpec(6)]
+# identity, -1, the adjoined generator (ζ, i or α) and its negative, then
+# any nonzero pair: a formal unit with a w part is what can overflow
+UNITS = st.one_of(
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda u: u != (0, 0)),
+)
+SHIFTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def _triple_pair(draw):
+    n = draw(st.integers(1, 5))
+
+    def triple():
+        return (tuple(draw(st.permutations(range(n)))),
+                tuple(draw(st.lists(UNITS, min_size=n, max_size=n))),
+                tuple(draw(st.lists(SHIFTS, min_size=n, max_size=n))))
+
+    return triple(), triple()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except FormalAlphaOverflow:
+        return FormalAlphaOverflow
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SPECS), _triple_pair())
+def test_compose_matches_the_reference_product(spec, pair):
+    x, y = pair
+    expected = _outcome(_reference_product, spec, x, y)
+    assert _outcome(_compose, spec.mul, x, y) == expected
+    if expected is not FormalAlphaOverflow:
+        assert (AffineElement(spec, *x) * AffineElement(spec, *y)).triple == expected
+
+
+CONJUGATION_CASES = [("C_alpha", 1), ("C_alpha", 3), ("A_alpha", 2), ("A_alpha", 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONJUGATION_CASES), st.data())
+def test_raw_conjugate_matches_the_element_product(case, data):
+    family, n = case
+    spec, gens = build_generator_matrices(family, n)
+    x = data.draw(st.sampled_from(_reflection_candidates(family, spec, n, 3)))
+    c = data.draw(st.sampled_from(gens))
+    raw = _compose(spec.mul, _compose(spec.mul, c.triple, x.triple), c.inverse().triple)
+    assert raw == (c * x * c.inverse()).triple
