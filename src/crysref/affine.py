@@ -9,10 +9,11 @@ rank of g - 1 and the order of g are read off the cycles of perm.
 
 Scalars are stored as int pairs (a, b) meaning a + b*w, and multiplied by
 the ring's one pair multiply, ``RingSpec.mul``.  ``_compose`` is the one
-product, on raw (perm, units, shift) triples; the class closure calls it
-without building elements.  ``RingElement`` appears only at the edges:
-``linear``, ``translation``, ``apply`` and ``cycles`` return it, and
-printing and JSON read it.
+product, on raw (perm, units, shift) triples, and ``_entries`` the one
+printer, through ``RingSpec.text``.  The class grid, its closure and the
+choice of representatives work on triples alone; an ``AffineElement`` is
+built only where a caller gets one back or a representative is
+classified.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .presentations import UnsupportedFamily, build_group_presentation
-from .ring import Pair, RingElement, RingSpec, SpecMismatchError
+from .ring import Pair, RingSpec, SpecMismatchError
 from .words import Word
 
-Matrix = tuple[tuple[RingElement, ...], ...]
-Vector = tuple[RingElement, ...]
 Pairs = tuple[Pair, ...]
 Monomial = tuple[tuple[int, ...], Pairs]  # (perm, units)
 Triple = tuple[tuple[int, ...], Pairs, Pairs]  # (perm, units, shift)
@@ -74,19 +73,6 @@ class AffineElement:
     def dim(self) -> int:
         return len(self.shift)
 
-    @property
-    def linear(self) -> Matrix:
-        """The linear part as a dense matrix."""
-        el, z = self.spec.el, self.spec.zero()
-        return tuple(
-            tuple(el(*u) if j == p else z for j in range(self.dim))
-            for p, u in zip(self.perm, self.units)
-        )
-
-    @property
-    def translation(self) -> Vector:
-        return tuple(self.spec.el(*x) for x in self.shift)
-
     # -- group structure -----------------------------------------------
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
@@ -131,10 +117,11 @@ class AffineElement:
     def is_identity(self) -> bool:
         return self.is_translation() and self.shift == ((0, 0),) * self.dim
 
-    def cycles(self) -> list[tuple[int, RingElement]]:
-        """(length m, unit product c) for each cycle of perm.  The block of
-        such a cycle satisfies g^m = c there, and its characteristic
-        polynomial is X^m - c."""
+    def cycles(self) -> list[tuple[int, Pair]]:
+        """(length m, unit product c) for each cycle of perm, with c a bare
+        int pair of the ring spec, not a ring element.  The block of such a
+        cycle satisfies g^m = c there, and its characteristic polynomial is
+        X^m - c."""
         seen = [False] * self.dim
         out = []
         for start in range(self.dim):
@@ -144,7 +131,7 @@ class AffineElement:
             while not seen[i]:
                 seen[i] = True
                 m, c, i = m + 1, self.spec.mul(c, self.units[i]), self.perm[i]
-            out.append((m, self.spec.el(*c)))
+            out.append((m, c))
         return out
 
     def order(self) -> Optional[int]:
@@ -156,37 +143,39 @@ class AffineElement:
         """
         k = 1
         for m, c in self.cycles():
-            e = _root_of_unity_order(c)
+            e = _root_of_unity_order(self.spec, c)
             if e is None:
                 return None
             k = lcm(k, m * e)
         return k if (self ** k).is_identity() else None
 
-    def apply(self, v: Vector) -> Vector:
-        """g v + t: the shift of the product with the translation (1 | v)."""
-        if any(x.spec != self.spec for x in v):
-            raise SpecMismatchError("vector entry from a different ring")
-        n = len(v)
-        by_v = tuple(range(n)), ((1, 0),) * n, tuple((x.a, x.b) for x in v)
-        _, _, shift = _compose(self.spec.mul, self.triple, by_v)
-        return tuple(self.spec.el(*x) for x in shift)
-
     def __str__(self) -> str:
-        rows = "; ".join(
-            " ".join(str(x) for x in row) for row in self.linear
-        )
-        return f"([{rows}] | [{' '.join(str(x) for x in self.translation)}])"
+        return _text(self.spec, self.triple)
 
 
-def _root_of_unity_order(c: RingElement) -> Optional[int]:
+def _entries(spec: RingSpec, x: Triple) -> tuple[list[list[str]], list[str]]:
+    """The printed rows of the dense linear part of x, and its printed shift."""
+    perm, units, shift = x
+    rows = [["0"] * len(shift) for _ in shift]
+    for row, p, u in zip(rows, perm, units):
+        row[p] = spec.text(u)
+    return rows, [spec.text(t) for t in shift]
+
+
+def _text(spec: RingSpec, x: Triple) -> str:
+    rows, shift = _entries(spec, x)
+    return f"([{'; '.join(map(' '.join, rows))}] | [{' '.join(shift)}])"
+
+
+def _root_of_unity_order(spec: RingSpec, c: Pair) -> Optional[int]:
     """Multiplicative order of c, or None if c is not a root of unity.
     The roots of unity in Z + αZ and Z[ζ_d], d in {3, 4, 6}, have order
     1, 2, 3, 4 or 6."""
-    x = base = (c.a, c.b)
+    x = c
     for e in range(1, 7):
         if x == (1, 0):
             return e
-        x = c.spec.mul(x, base)
+        x = spec.mul(x, c)
     return None
 
 
@@ -297,10 +286,8 @@ def verify_presentation(
 
 
 def _matrix_json(a: AffineElement) -> dict:
-    return {
-        "linear": [[str(x) for x in row] for row in a.linear],
-        "translation": [str(x) for x in a.translation],
-    }
+    rows, shift = _entries(a.spec, a.triple)
+    return {"linear": rows, "translation": shift}
 
 
 # ---------------------------------------------------------------------
@@ -314,7 +301,7 @@ def linear_minus_identity_rank(a: AffineElement) -> int:
     X^m - c, whose roots are simple, so g - 1 has a one-dimensional kernel
     on the block when c = 1 and none otherwise.
     """
-    return a.dim - sum(1 for _, c in a.cycles() if c.is_one())
+    return a.dim - sum(1 for _, c in a.cycles() if c == (1, 0))
 
 
 def classify_element(a: AffineElement) -> dict:
@@ -363,9 +350,9 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
                          f"for {family} n={n}, over the cap of {MAX_CANDIDATES}")
     spec, gens = build_generator_matrices(family, n)
     # the union-find runs on the extended candidates' list indices, keyed by
-    # their raw triples, so no element is built for a conjugate
-    extended = _reflection_candidates(family, spec, n, bound + 2)
-    index = {x.triple: i for i, x in enumerate(extended)}
+    # their raw triples, so no element is built for a candidate or conjugate
+    extended = _reflection_candidates(family, n, bound + 2)
+    index = {x: i for i, x in enumerate(extended)}
     parent = list(range(len(extended)))
 
     def find(i: int) -> int:
@@ -386,13 +373,13 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
                 if ri != rj:
                     parent[ri] = rj
     # the candidates at bound: the extended ones within bound, in order
-    classes: dict[int, list[AffineElement]] = {}
+    classes: dict[int, list[Triple]] = {}
     for i, x in enumerate(extended):
-        if all(abs(c) <= bound for pair in x.shift for c in pair):
+        if all(abs(c) <= bound for pair in x[2] for c in pair):
             classes.setdefault(find(i), []).append(x)
     out = []
     for members in classes.values():
-        rep = min(members, key=str)
+        rep = AffineElement(spec, *min(members, key=lambda x: _text(spec, x)))
         info = classify_element(rep)
         out.append(
             {
@@ -407,7 +394,7 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
 
 
 def _candidate_count(family: str, n: int, bound: int) -> int:
-    """``len(_reflection_candidates(family, spec, n, bound))``, without
+    """``len(_reflection_candidates(family, n, bound))``, without
     building them: each of the n(n-1)/2 transpositions, and for C_alpha
     each signed transposition and each of the n sign changes, takes every
     translation coefficient pair in the (2·bound + 1)² box."""
@@ -415,18 +402,16 @@ def _candidate_count(family: str, n: int, bound: int) -> int:
     return pairs * (2 * bound + 1) ** 2
 
 
-def _reflection_candidates(
-    family: str, spec: RingSpec, n: int, bound: int
-) -> list[AffineElement]:
+def _reflection_candidates(family: str, n: int, bound: int) -> list[Triple]:
     coeffs = [
         (x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
     ]
-    out: list[AffineElement] = []
+    out: list[Triple] = []
     if family == "C_alpha":
         for i in range(n):
             lin = _diag([(-1, 0) if j == i else (1, 0) for j in range(n)])
             for b in coeffs:
-                out.append(AffineElement(spec, *lin, _vector(n, {i: b})))
+                out.append((*lin, _vector(n, {i: b})))
     # (g | c·(e_i - eps·e_j)) squares to the identity for the signed
     # transposition g, so each of these is a reflection
     for i in range(n):
@@ -435,7 +420,7 @@ def _reflection_candidates(
                 lin = _signed_transposition(n, i, j, eps)
                 for x, y in coeffs:
                     t = _vector(n, {i: (x, y), j: (-eps * x, -eps * y)})
-                    out.append(AffineElement(spec, *lin, t))
+                    out.append((*lin, t))
     return list(dict.fromkeys(out))  # de-duplicated, first occurrence kept
 
 

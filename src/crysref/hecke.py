@@ -181,10 +181,6 @@ class HeckePresentation:
         if len(self.gen_roots) != self.braid_part.num_generators:
             raise ValueError("one root list per braid generator required")
 
-    @property
-    def parameter_pair_count(self) -> int:
-        return len(self.parameter_classes)
-
     def roots(self, g: int) -> tuple[LaurentPoly, ...]:
         """The roots of generator g; g = -1 is S0."""
         return self.extra_roots if g < 0 else self.gen_roots[g]

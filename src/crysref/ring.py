@@ -4,10 +4,10 @@ Two kinds of scalars appear as matrix entries: cyclotomic integers
 ``Z[zeta_d]`` for ``d`` in {3, 4, 6}, and elements of the formal lattice
 ``Z + alpha*Z`` where ``alpha`` is treated as a transcendental symbol.
 Every value is a pair ``(a, b)`` meaning ``a + b*w`` with ``w`` the
-adjoined generator.  ``RingSpec.mul`` and ``RingSpec.inv`` are the one
-multiply and inverse, on bare int pairs: the affine kernel calls them
-directly, and ``RingElement`` wraps a pair with its ring for printing
-and checked arithmetic.  In the formal mode a product that would
+adjoined generator.  ``RingSpec.mul``, ``RingSpec.inv`` and
+``RingSpec.text`` are the one multiply, inverse and printer, on bare int
+pairs: the affine kernel calls them directly, and ``RingElement`` wraps a
+pair with its ring for checked arithmetic.  In the formal mode a product that would
 create an ``alpha**2`` term is an error, never a silent truncation: the
 group arithmetic in scope provably never produces one, so hitting the
 error means a bug upstream.
@@ -75,14 +75,23 @@ class RingSpec:
     def one(self) -> "RingElement":
         return self.el(1)
 
-    # -- pair arithmetic -----------------------------------------------
+    # -- pairs ---------------------------------------------------------
+
+    def text(self, x: Pair) -> str:
+        """The printed form of a pair: ``a``, ``b*w`` or ``a+b*w``."""
+        a, b = x
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*{self.symbol}"
+        return f"{a}{'+' if b > 0 else ''}{b}*{self.symbol}"
 
     def mul(self, x: Pair, y: Pair) -> Pair:
         """The product of two pairs of this ring."""
         (a, b), (c, d) = x, y
         if b and d and self.d is None:
             raise FormalAlphaOverflow(
-                f"({self.el(*x)}) * ({self.el(*y)}) would need an α² term"
+                f"({self.text(x)}) * ({self.text(y)}) would need an α² term"
             )
         p, q, _ = _RING_DATA[self.d]
         # (a + b·u)(c + d·u) = ac + (ad + bc)·u + bd·u², u² = p·u + q
@@ -97,12 +106,12 @@ class RingSpec:
         if self.d is None:  # formal mode
             if b == 0 and a in (1, -1):
                 return x
-            raise NotAUnit(f"{self.el(*x)} is not a unit of Z+αZ")
+            raise NotAUnit(f"{self.text(x)} is not a unit of Z+αZ")
         p, q, _ = _RING_DATA[self.d]
         # [[a, b·q], [b, a + b·p]] @ (x, y) = (1, 0)
         det = a * (a + b * p) - b * (b * q)
         if det not in (1, -1):
-            raise NotAUnit(f"{self.el(*x)} is not a unit (norm {det})")
+            raise NotAUnit(f"{self.text(x)} is not a unit (norm {det})")
         return (a + b * p) * det, -b * det
 
 
@@ -120,22 +129,12 @@ class RingElement:
         self._check(other)
         return RingElement(self.spec, self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.spec, self.a - other.a, self.b - other.b)
-
     def __neg__(self) -> "RingElement":
         return RingElement(self.spec, -self.a, -self.b)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         return self.spec.el(*self.spec.mul((self.a, self.b), (other.a, other.b)))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def is_one(self) -> bool:
-        return self.a == 1 and self.b == 0
 
     def inverse(self) -> "RingElement":
         """Multiplicative inverse of a ring unit."""
@@ -154,13 +153,7 @@ class RingElement:
         return out
 
     def __str__(self) -> str:
-        w = self.spec.symbol
-        if self.b == 0:
-            return str(self.a)
-        bterm = f"{self.b}*{w}"
-        if self.a == 0:
-            return bterm
-        return f"{self.a}{'+' if self.b > 0 else ''}{bterm}"
+        return self.spec.text((self.a, self.b))
 
     def __repr__(self) -> str:
         return f"<{self} : {self.spec}>"

@@ -67,16 +67,14 @@ def smith_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[int]:
         diag.append(abs(m[top][top]))
         top += 1
     diag += [0] * (min(len(rows), ncols) - len(diag))
-    # enforce the divisibility chain
+    # enforce the divisibility chain.  Every pivot is nonzero and comes
+    # before the zero padding, and gcd and lcm of nonzero values stay
+    # nonzero, so the zeros stay last; and a chain d1 | d2 | ... of
+    # positive values is already ascending
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
-            if a == 0 and b != 0:
-                diag[i], diag[j] = b, 0
-                continue
             if a and b and b % a != 0:
                 g = math.gcd(a, b)
                 diag[i], diag[j] = g, a * b // g
-    # zeros last, ascending chain first
-    nz = sorted(d for d in diag if d)
-    return nz + [0] * (diag.count(0))
+    return diag

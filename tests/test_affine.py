@@ -1,7 +1,9 @@
 """Affine matrix models: presentation checks, element orders, classes."""
 
+import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 import sympy
@@ -18,7 +20,8 @@ from crysref.affine import (
     linear_minus_identity_rank,
     verify_presentation,
 )
-from crysref.affine import _candidate_count, _compose, _reflection_candidates
+from crysref.affine import (
+    _candidate_count, _compose, _matrix_json, _reflection_candidates)
 from crysref.presentations import build_group_presentation
 from crysref.ring import FormalAlphaOverflow, RingSpec, SpecMismatchError
 from crysref.words import Word, parse_word
@@ -45,13 +48,6 @@ def test_generator_orders_match_labels(family, n):
     _, gens = build_generator_matrices(family, n)
     for g, label in zip(gens, pres.generator_orders):
         assert g.order() == label
-
-
-def test_affine_composition_law():
-    _, gens = build_generator_matrices("C_alpha", 2)
-    a, b = gens[0], gens[1]
-    v = tuple(a.spec.el(i + 1) for i in range(a.dim))
-    assert (a * b).apply(v) == a.apply(b.apply(v))
 
 
 @pytest.mark.parametrize("family,n", [("C_alpha", 2), ("A_alpha", 3), ("G411", 2)])
@@ -101,7 +97,7 @@ def test_rank_matches_sympy(family, n):
     @given(letters)
     def inner(ls):
         a = evaluate_word(Word(ls), gens)
-        g = sympy.Matrix([[x.a + x.b * w for x in row] for row in a.linear])
+        g = _sympy_affine(a, w)[:n, :n]
         expected = (g - sympy.eye(n)).rank(simplify=True)
         assert linear_minus_identity_rank(a) == expected
 
@@ -109,13 +105,14 @@ def test_rank_matches_sympy(family, n):
 
 
 def _sympy_affine(a, w):
-    """The (n+1)×(n+1) homogeneous matrix [[g, t], [0, 1]] of (g | t)."""
+    """The (n+1)×(n+1) homogeneous matrix [[g, t], [0, 1]] of (g | t), with
+    units[i] at (i, perm[i]) of g."""
     n = a.dim
-    rows = [
-        [x.a + x.b * w for x in row] + [t.a + t.b * w]
-        for row, t in zip(a.linear, a.translation)
-    ]
-    return sympy.Matrix(rows + [[0] * n + [1]])
+    m = sympy.zeros(n + 1, n + 1)
+    for i, (p, (x, y), (s, t)) in enumerate(zip(a.perm, a.units, a.shift)):
+        m[i, p], m[i, n] = x + y * w, s + t * w
+    m[n, n] = 1
+    return m
 
 
 def _is_zero(m):
@@ -128,8 +125,8 @@ def _is_zero(m):
     ids=str,
 )
 def test_kernel_matches_dense_sympy(family, n):
-    # the dense oracle reads only .linear and .translation: product,
-    # inverse and action are sympy's, on homogeneous matrices
+    # the dense oracle reads only perm, units and shift: product and
+    # inverse are sympy's, on homogeneous matrices
     spec, gens = build_generator_matrices(family, n)
     w = SYMPY_GEN[spec.symbol]
     letters = st.lists(
@@ -137,20 +134,14 @@ def test_kernel_matches_dense_sympy(family, n):
                   st.sampled_from([-1, 1])),
         max_size=8,
     )
-    coords = st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=n, max_size=n
-    )
 
     @settings(max_examples=25, deadline=None)
-    @given(letters, letters, coords)
-    def inner(ls1, ls2, xs):
+    @given(letters, letters)
+    def inner(ls1, ls2):
         a, b = evaluate_word(Word(ls1), gens), evaluate_word(Word(ls2), gens)
         ha, hb = _sympy_affine(a, w), _sympy_affine(b, w)
         assert _is_zero(_sympy_affine(a * b, w) - ha * hb)
         assert _is_zero(_sympy_affine(a.inverse(), w) - ha.inv())
-        v = tuple(spec.el(x, y) for x, y in xs)
-        image = sympy.Matrix([x.a + x.b * w for x in a.apply(v)] + [1])
-        assert _is_zero(image - ha * sympy.Matrix([x.a + x.b * w for x in v] + [1]))
 
     inner()
 
@@ -265,9 +256,8 @@ def test_reflection_classes_are_pinned_at_other_bounds(family, n, bound):
 @pytest.mark.parametrize("family,n,bound", [
     ("A_alpha", 2, 0), ("A_alpha", 5, 4), ("C_alpha", 1, 1), ("C_alpha", 3, 4)])
 def test_candidate_count_matches_the_candidates(family, n, bound):
-    spec, _ = build_generator_matrices(family, n)
     assert _candidate_count(family, n, bound) == \
-        len(_reflection_candidates(family, spec, n, bound))
+        len(_reflection_candidates(family, n, bound))
 
 
 def test_candidate_cap_admits_its_own_count(monkeypatch):
@@ -386,7 +376,80 @@ CONJUGATION_CASES = [("C_alpha", 1), ("C_alpha", 3), ("A_alpha", 2), ("A_alpha",
 def test_raw_conjugate_matches_the_element_product(case, data):
     family, n = case
     spec, gens = build_generator_matrices(family, n)
-    x = data.draw(st.sampled_from(_reflection_candidates(family, spec, n, 3)))
+    x = data.draw(st.sampled_from(_reflection_candidates(family, n, 3)))
     c = data.draw(st.sampled_from(gens))
-    raw = _compose(spec.mul, _compose(spec.mul, c.triple, x.triple), c.inverse().triple)
-    assert raw == (c * x * c.inverse()).triple
+    raw = _compose(spec.mul, _compose(spec.mul, c.triple, x), c.inverse().triple)
+    assert raw == (c * AffineElement(spec, *x) * c.inverse()).triple
+
+
+def _sample_elements(family, n):
+    """Every generator, then 40 words of 1 to 8 letters seeded by the case."""
+    _, gens = build_generator_matrices(family, n)
+    rng = random.Random(f"{family} {n}")
+    words = [
+        Word([(rng.randrange(len(gens)), rng.choice((1, -1)))
+              for _ in range(rng.randint(1, 8))])
+        for _ in range(40)
+    ]
+    return list(gens) + [evaluate_word(w, gens) for w in words]
+
+
+# SHA-256 of str(x), _matrix_json(x), classify_element(x) and x.order(), one
+# line per element of _sample_elements(family, n) for every n
+PRINT_DIGESTS = {
+    "A_alpha": "ed7466cff68426a89b339c282908356aa9e7f18b03b1601398a31100389a2b95",
+    "C_alpha": "190f75dc72cab0154ce14a5e52ae50cdf866fbdf03b16c3f991e4a7070b22fa5",
+    "G311": "1fdfe58a2e05c46dcdf96c9cae585e33e891e872baee6cac3fbdde7f795f4045",
+    "G411": "0036d67311c3de7d8e4138d167096fbfaf4e50328eee7fd8d90f851841dd77ca",
+    "G611": "bbd27df0efeb61a463c9c27c0dd191fd4982ef43f6306ceebc4b271f75b37cc5",
+}
+
+
+@pytest.mark.parametrize("family", MATRIX_FAMILIES)
+def test_printed_forms_are_pinned(family):
+    # covers the ζ3, i and ζ6 printing, negative and zero coefficients and
+    # the cycle-based order, not only the formal-α representatives
+    digest = hashlib.sha256()
+    for n in range(2 if family == "A_alpha" else 1, 6):
+        for x in _sample_elements(family, n):
+            line = (str(x), json.dumps(_matrix_json(x)),
+                    json.dumps(classify_element(x)), x.order())
+            digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == PRINT_DIGESTS[family]
+
+
+# a relator the matrices break, and the extra order relation one power too
+# high, with the witness each failure reports
+WITNESS_CASES = [
+    ("C_alpha", 2, "s1 s4",
+     {"linear": [["-1", "0"], ["0", "-1"]], "translation": ["0", "1*α"]},
+     {"linear": [["-1", "0"], ["0", "1"]], "translation": ["-1+1*α", "0"]}),
+    ("G611", 2, "s1 s3",
+     {"linear": [["1*ζ6", "0"], ["0", "-1"]], "translation": ["0", "1"]},
+     {"linear": [["-1*ζ6", "0"], ["0", "1"]], "translation": ["1*ζ6", "0"]}),
+]
+
+
+@pytest.mark.parametrize("family,n,word,relator_witness,order_witness",
+                         WITNESS_CASES, ids=["C_alpha-2", "G611-2"])
+def test_failing_relations_report_witnesses(family, n, word, relator_witness,
+                                            order_witness):
+    pres = build_group_presentation(family, n)
+    _, gens = build_generator_matrices(family, n)
+    extra = parse_word(word, pres.generator_names)
+    report = verify_presentation(
+        dataclasses.replace(pres, relators=pres.relators + (extra,)), gens)
+    assert report["pass"] is False and report["extra_order"]["pass"]
+    assert [r["relator_index"] for r in report["relators"] if not r["pass"]] == \
+        [len(pres.relators)]
+    assert report["relators"][-1] == {
+        "relator_index": len(pres.relators), "word_text": word, "pass": False,
+        "witness_matrix": relator_witness}
+    base, e = pres.extra_order_relation
+    report = verify_presentation(
+        dataclasses.replace(pres, extra_order_relation=(base, e + 1)), gens)
+    assert report["pass"] is False
+    assert all(r["pass"] for r in report["relators"])
+    assert report["extra_order"] == {
+        "word_text": base.text(pres.generator_names), "order": e + 1,
+        "pass": False, "witness_matrix": order_witness}

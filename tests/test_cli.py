@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 import crysref
 from crysref import cli
 from crysref.cli import main
+from crysref.presentations import build_group_presentation
 
 
 def run(capsys, *argv):
@@ -41,6 +43,15 @@ def test_verify_extra_order(capsys):
     code, rep = run_json(capsys, "verify", "C_alpha", "2", "--what", "extra-order")
     assert code == 0
     assert rep["extra_order"]["order"] == 2
+
+
+def test_verify_presentation_leaves_out_the_x_relator(capsys):
+    _, full = run_json(capsys, "verify", "C_alpha", "3")
+    code, rep = run_json(capsys, "verify", "C_alpha", "3", "--what", "presentation")
+    assert code == 0 and rep["pass"] is True and "extra_order" not in rep
+    x = build_group_presentation("C_alpha", 3).x_relator_index
+    assert x is not None
+    assert rep["relators"] == full["relators"][:x] + full["relators"][x + 1:]
 
 
 @pytest.mark.parametrize("command", ["verify", "classes"])
@@ -342,3 +353,84 @@ def test_braid_direction_is_gone(capsys):
     assert code == 64
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# plain stdout, recorded with the wall_time line masked; classes prints
+# the representatives, so this guards the matrix printer end to end
+PLAIN_CLASSES_C2 = """\
+schema: 1
+command: classes
+count: 5
+classes:
+  representative: ([-1 0; 0 1] | [-1 0])
+  size_in_window: 12
+  linear_class: sign
+  residue: [1, 0]
+
+  representative: ([-1 0; 0 1] | [-1*α 0])
+  size_in_window: 12
+  linear_class: sign
+  residue: [0, 1]
+
+  representative: ([-1 0; 0 1] | [-1+1*α 0])
+  size_in_window: 8
+  linear_class: sign
+  residue: [1, 1]
+
+  representative: ([-1 0; 0 1] | [-2 0])
+  size_in_window: 18
+  linear_class: sign
+  residue: [0, 0]
+
+  representative: ([0 -1; -1 0] | [-1 -1])
+  size_in_window: 50
+  linear_class: transposition
+  residue: None
+
+pass: True
+wall_time: *
+exit_code: 0
+"""
+
+PLAIN_RANK_ONE = """\
+schema: 1
+command: hecke
+pass: True
+results:
+  generator: S0
+  target: T1
+  pass: True
+  unit_factor: -T1^-2 q^2
+  difference: None
+
+  generator: S1
+  target: T2
+  pass: True
+  unit_factor: 1
+  difference: None
+
+  generator: S2
+  target: T3
+  pass: True
+  unit_factor: 1
+  difference: None
+
+  generator: S3
+  target: T4
+  pass: True
+  unit_factor: 1
+  difference: None
+
+wall_time: *
+exit_code: 0
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("classes", "C_alpha", "2"), PLAIN_CLASSES_C2),
+    (("hecke", "rank-one"), PLAIN_RANK_ONE),
+], ids=["classes", "rank-one"])
+def test_plain_output_is_pinned(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert re.sub(r"(?m)^wall_time: .*$", "wall_time: *", out) == expected
