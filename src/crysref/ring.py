@@ -7,10 +7,10 @@ Every value is a pair ``(a, b)`` meaning ``a + b*w`` with ``w`` the
 adjoined generator.  ``RingSpec.mul``, ``RingSpec.inv`` and
 ``RingSpec.text`` are the one multiply, inverse and printer, on bare int
 pairs: the affine kernel calls them directly, and ``RingElement`` wraps a
-pair with its ring for checked arithmetic.  In the formal mode a product that would
-create an ``alpha**2`` term is an error, never a silent truncation: the
-group arithmetic in scope provably never produces one, so hitting the
-error means a bug upstream.
+pair with its ring for checked arithmetic.  In the formal mode a product
+that would create an ``alpha**2`` term is an error, never a silent
+truncation: the group arithmetic in scope provably never produces one, so
+hitting the error means a bug upstream.
 """
 
 from __future__ import annotations
