@@ -205,7 +205,7 @@ def cmd_export(args) -> dict:
     if args.dot:
         if pres.diagram is None:
             raise _UsageError(f"{args.family} n={args.n} has no diagram")
-        text = diagram_to_dot(pres.diagram)
+        text = diagram_to_dot(pres.diagram) + "\n"
     else:
         text = presentation_to_text(pres)
     return {"text": text, "pass": True}

@@ -20,6 +20,7 @@ from .presentations import (
     UnsupportedFamily,
     artinize,
     build_group_presentation,
+    presentation_to_text,
     punctured_sphere_braid,
 )
 from .prover import (
@@ -579,8 +580,6 @@ def degeneration_check(family: str, n: int) -> bool:
 
 
 def hecke_to_text(hp: HeckePresentation) -> str:
-    from .presentations import presentation_to_text
-
     lines = [presentation_to_text(hp.braid_part).rstrip("\n")]
     names = hp.braid_part.generator_names
 

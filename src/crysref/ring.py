@@ -69,9 +69,6 @@ class RingSpec:
     def el(self, a: int, b: int = 0) -> "RingElement":
         return RingElement(self, a, b)
 
-    def zero(self) -> "RingElement":
-        return self.el(0)
-
     def one(self) -> "RingElement":
         return self.el(1)
 

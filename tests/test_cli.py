@@ -182,24 +182,51 @@ def test_good_budget_scale_is_accepted(capsys, monkeypatch):
     assert code == 0 and rep["status"] == "proved"
 
 
+def _src_env():
+    """The environment with this checkout's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(crysref.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_closed_stdout_gives_no_traceback():
     # the report goes to a pipe whose reader is already gone, as in
     # `crysref --json ... | head -c 10`
-    src = os.path.dirname(os.path.dirname(crysref.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "crysref.cli", "--json", "verify", "C_alpha", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env(),
             timeout=120,
         )
     finally:
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 0
+
+
+IMPORT_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "crysref")
+import crysref.words
+words = loaded()
+import crysref.prover
+print(json.dumps([words, loaded(), crysref.__version__]))
+"""
+
+
+def test_a_submodule_loads_only_its_own_imports():
+    # the package re-exports nothing, so it imports no submodule itself
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    words, prover, version = json.loads(proc.stdout)
+    assert words == ["crysref", "crysref.words"]
+    assert prover == ["crysref", "crysref.prover", "crysref.snf", "crysref.words"]
+    assert version == "0.1.0"
 
 
 def test_braid_replay_mode(capsys):
@@ -284,7 +311,7 @@ def test_prove_unknown_exits_two(capsys):
 
 def test_export_dot_and_text(capsys):
     code, out, _ = run(capsys, "export", "A_alpha", "3", "--dot")
-    assert code == 0 and out.startswith("graph")
+    assert code == 0 and out.startswith("graph") and out.endswith("}\n")
     code2, out2, _ = run(capsys, "export", "A_alpha", "3")
     assert code2 == 0 and out2.startswith("gens:")
 
