@@ -9,11 +9,12 @@ rank of g - 1 and the order of g are read off the cycles of perm.
 
 Scalars are stored as int pairs (a, b) meaning a + b*w, and multiplied by
 the ring's one pair multiply, ``RingSpec.mul``.  ``_compose`` is the one
-product, on raw (perm, units, shift) triples, and ``_entries`` the one
-printer, through ``RingSpec.text``.  The class grid, its closure and the
-choice of representatives work on triples alone; an ``AffineElement`` is
-built only where a caller gets one back or a representative is
-classified.
+product, of any number of raw (perm, units, shift) triples in one pass,
+and ``_entries`` the one printer, through ``RingSpec.text``.  A word is
+evaluated, and a class candidate conjugated, in one ``_compose`` call.
+The class grid, its closure and the choice of representatives work on
+triples alone; an ``AffineElement`` is built only where a caller gets one
+back or a representative is classified.
 """
 
 from __future__ import annotations
@@ -31,19 +32,23 @@ Monomial = tuple[tuple[int, ...], Pairs]  # (perm, units)
 Triple = tuple[tuple[int, ...], Pairs, Pairs]  # (perm, units, shift)
 
 
-def _compose(mul, x: Triple, y: Triple) -> Triple:
-    """The triple of x·y: (g | t)(g' | t') = (g g' | g t' + t).  A unit
-    (1, 0) of g skips ``mul``, which is exact and can never overflow."""
-    (perm, units, shift), (perm2, units2, shift2) = x, y
-    out_units, out_shift = [], []
-    for p, u, (a, b) in zip(perm, units, shift):
-        if u == (1, 0):
-            v, (c, d) = units2[p], shift2[p]
-        else:
-            v, (c, d) = mul(u, units2[p]), mul(u, shift2[p])
-        out_units.append(v)
-        out_shift.append((c + a, d + b))
-    return tuple(perm2[p] for p in perm), tuple(out_units), tuple(out_shift)
+def _compose(mul, x: Triple, *rest: Triple) -> Triple:
+    """The triple of the product x·y·…, each row walked once through all
+    factors: (g | t)(g' | t') = (g g' | g t' + t).  It makes the scalar
+    products of the pairwise left fold, row by row; a unit (1, 0) skips
+    ``mul``, which is exact and can never overflow."""
+    out_perm, out_units, out_shift = [], [], []
+    for p, u, (a, b) in zip(*x):
+        for perm2, units2, shift2 in rest:
+            if u == (1, 0):
+                u, (c, d) = units2[p], shift2[p]
+            else:
+                u, (c, d) = mul(u, units2[p]), mul(u, shift2[p])
+            p, a, b = perm2[p], c + a, d + b
+        out_perm.append(p)
+        out_units.append(u)
+        out_shift.append((a, b))
+    return tuple(out_perm), tuple(out_units), tuple(out_shift)
 
 
 @dataclass(frozen=True)
@@ -235,12 +240,20 @@ def build_generator_matrices(
 
 
 def evaluate_word(word: Word, gens: Sequence[AffineElement]) -> AffineElement:
+    """The product of the word's letters, as one kernel call; each used
+    generator is checked against gens[0] and inverted once."""
     if not gens:
         raise ValueError("need at least one generator")
-    out = AffineElement.identity(gens[0].spec, gens[0].dim)
-    for g, e in word.letters:
-        out = out * (gens[g] if e == 1 else gens[g].inverse())
-    return out
+    spec, n = gens[0].spec, gens[0].dim
+    factors = {}
+    for g, e in dict.fromkeys(word.letters):
+        a = gens[g]
+        if a.spec != spec or a.dim != n:
+            raise SpecMismatchError("cannot compose over different rings/dims")
+        factors[g, e] = (a if e == 1 else a.inverse()).triple
+    identity = AffineElement.identity(spec, n).triple
+    return AffineElement(spec, *_compose(
+        spec.mul, identity, *map(factors.__getitem__, word.letters)))
 
 
 # ---------------------------------------------------------------------
@@ -327,8 +340,8 @@ def classify_element(a: AffineElement) -> dict:
 # the most extended candidates enumerate_reflection_classes builds.  The
 # slowest input at a given count is bound 0 at the largest rank, each
 # candidate costing O(n) per conjugation by the n + 1 generators.  On a
-# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 10.1 s
-# and 29 MB, n=38 (17,575) 11.8 s; A_alpha n=3 bound 34 (15,987) 0.6 s
+# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 7.1 s
+# and 27 MB, n=38 (17,575) 8.9 s; A_alpha n=3 bound 34 (15,987) 0.2 s
 MAX_CANDIDATES = 16_000
 
 
@@ -367,7 +380,7 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
     mul, conjugators = spec.mul, [(g.triple, g.inverse().triple) for g in gens]
     for i, x in enumerate(index):
         for c, c_inv in conjugators:
-            j = index.get(_compose(mul, _compose(mul, c, x), c_inv))
+            j = index.get(_compose(mul, c, x, c_inv))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:

@@ -1,6 +1,7 @@
 """Affine matrix models: presentation checks, element orders, classes."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -217,8 +218,12 @@ def test_reflection_classes_are_pinned(family, n):
     assert hashlib.sha256(text.encode()).hexdigest() == CLASS_DIGESTS[family, n]
 
 
-# the same digest at bounds 0, 1 and 3, for every rank that ALL_CASES checks
+# the same digest at bounds 0, 1 and 3, for every rank that ALL_CASES checks,
+# and at two shapes near the candidate cap: the largest admitted bound at
+# rank 3 (15,987 candidates) and rank 12 at bound 0
 WIDE_CLASS_DIGESTS = {
+    ("A_alpha", 3, 34): "d5b8fcc27571036d36ecefe3c38b2f50d90c4a1a5b66d42c621e679706dc9763",
+    ("C_alpha", 12, 0): "55df73c5dd4b6cd300e8e1110755d07cca21215b824aadc1854ce48984dda1d9",
     ("A_alpha", 2, 0): "2f7b4b8b18a64205efcd7f97fa7cc00f406d1c8406953b3a7c3426f967f1c3c8",
     ("A_alpha", 2, 1): "9a6171b9920450ad07b1d16e00d407cc093c5c3a96d8e7dbd0261e0db8c2ad1c",
     ("A_alpha", 2, 3): "f115cde939d6e7b725b327268cd55dc7d62dbc5d33dd6d11d7b9af0577061286",
@@ -306,6 +311,16 @@ def test_product_across_rings_is_rejected():
         a * c
 
 
+def test_evaluate_word_rejects_generators_of_another_ring_or_dimension():
+    _, (a, *_) = build_generator_matrices("A_alpha", 3)
+    _, (_, c, *_) = build_generator_matrices("C_alpha", 4)
+    _, (_, g, *_) = build_generator_matrices("G611", 3)
+    for other in (g, c):
+        for letters in ([(1, 1)], [(1, -1)], [(0, 1), (1, 1), (0, 1)]):
+            with pytest.raises(SpecMismatchError):
+                evaluate_word(Word(letters), [a, other])
+
+
 def test_matrix_families_constant():
     assert set(MATRIX_FAMILIES) == {"A_alpha", "C_alpha", "G311", "G411", "G611"}
     with pytest.raises(Exception):
@@ -337,7 +352,8 @@ SHIFTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 @st.composite
-def _triple_pair(draw):
+def _triples(draw, low, high):
+    """low to high triples of one dimension."""
     n = draw(st.integers(1, 5))
 
     def triple():
@@ -345,7 +361,7 @@ def _triple_pair(draw):
                 tuple(draw(st.lists(UNITS, min_size=n, max_size=n))),
                 tuple(draw(st.lists(SHIFTS, min_size=n, max_size=n))))
 
-    return triple(), triple()
+    return [triple() for _ in range(draw(st.integers(low, high)))]
 
 
 def _outcome(f, *args):
@@ -356,13 +372,21 @@ def _outcome(f, *args):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(SPECS), _triple_pair())
+@given(st.sampled_from(SPECS), _triples(2, 2))
 def test_compose_matches_the_reference_product(spec, pair):
     x, y = pair
     expected = _outcome(_reference_product, spec, x, y)
     assert _outcome(_compose, spec.mul, x, y) == expected
     if expected is not FormalAlphaOverflow:
         assert (AffineElement(spec, *x) * AffineElement(spec, *y)).triple == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SPECS), _triples(1, 6))
+def test_compose_of_many_factors_matches_the_left_fold(spec, xs):
+    expected = _outcome(
+        functools.reduce, lambda x, y: _reference_product(spec, x, y), xs)
+    assert _outcome(_compose, spec.mul, *xs) == expected
 
 
 CONJUGATION_CASES = [("C_alpha", 1), ("C_alpha", 3), ("A_alpha", 2), ("A_alpha", 4)]
@@ -377,6 +401,35 @@ def test_raw_conjugate_matches_the_element_product(case, data):
     c = data.draw(st.sampled_from(gens))
     raw = _compose(spec.mul, _compose(spec.mul, c.triple, x), c.inverse().triple)
     assert raw == (c * AffineElement(spec, *x) * c.inverse()).triple
+    assert _compose(spec.mul, c.triple, x, c.inverse().triple) == raw
+
+
+def _evaluate_word_by_letters(word, gens):
+    """``evaluate_word`` as a fold of one product, and one inverse, per
+    letter."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    out = AffineElement.identity(gens[0].spec, gens[0].dim)
+    for g, e in word.letters:
+        out = out * (gens[g] if e == 1 else gens[g].inverse())
+    return out
+
+
+@functools.cache
+def _generators(family, n):
+    return build_generator_matrices(family, n)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(f, n) for f in MATRIX_FAMILIES
+                        for n in range(2 if f == "A_alpha" else 1, 6)]),
+       st.data())
+def test_evaluate_word_matches_the_fold_by_letters(case, data):
+    gens = _generators(*case)
+    word = Word(data.draw(st.lists(
+        st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([-1, 1])),
+        max_size=40)))
+    assert evaluate_word(word, gens) == _evaluate_word_by_letters(word, gens)
 
 
 def _sample_elements(family, n):
