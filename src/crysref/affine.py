@@ -268,34 +268,25 @@ def verify_presentation(
     if len(gens) != presentation.num_generators:
         raise ValueError("generator count mismatch")
     names = presentation.generator_names
-    results = []
-    ok = True
-    for idx, rel in enumerate(presentation.relators):
-        val = evaluate_word(rel, gens)
-        good = val.is_identity()
-        entry = {
-            "relator_index": idx,
-            "word_text": rel.text(names),
-            "pass": good,
-        }
-        if not good:
-            ok = False
-            entry["witness_matrix"] = _matrix_json(val)
-        results.append(entry)
-    report = {"pass": ok, "relators": results}
+    results = [{"relator_index": idx, "word_text": rel.text(names),
+                **_holds(rel, gens)}
+               for idx, rel in enumerate(presentation.relators)]
+    report = {"pass": all(r["pass"] for r in results), "relators": results}
     if presentation.extra_order_relation is not None:
         base, e = presentation.extra_order_relation
-        val = evaluate_word(base, gens) ** e
-        good = val.is_identity()
-        report["extra_order"] = {
-            "word_text": base.text(names),
-            "order": e,
-            "pass": good,
-        }
-        if not good:
-            report["pass"] = False
-            report["extra_order"]["witness_matrix"] = _matrix_json(val)
+        entry = {"word_text": base.text(names), "order": e,
+                 **_holds(base ** e, gens)}
+        report["pass"] = report["pass"] and entry["pass"]
+        report["extra_order"] = entry
     return report
+
+
+def _holds(word: Word, gens: Sequence[AffineElement]) -> dict:
+    """``{"pass": True}``, or the failing value of the word as a witness."""
+    val = evaluate_word(word, gens)
+    if val.is_identity():
+        return {"pass": True}
+    return {"pass": False, "witness_matrix": _matrix_json(val)}
 
 
 def _matrix_json(a: AffineElement) -> dict:

@@ -59,12 +59,12 @@ class LaurentPoly:
         return cls._make(universe, {z: c})
 
     @classmethod
-    def var(cls, universe: Sequence[str], name: str, power: int = 1, coeff: int = 1) -> "LaurentPoly":
+    def var(cls, universe: Sequence[str], name: str, power: int = 1) -> "LaurentPoly":
         u = tuple(universe)
         if name not in u:
             raise UniverseMismatch(f"{name!r} not in universe")
         e = tuple(power if v == name else 0 for v in u)
-        return cls._make(u, {e: coeff})
+        return cls._make(u, {e: 1})
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.universe != other.universe:

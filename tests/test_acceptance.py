@@ -226,15 +226,17 @@ def test_criterion_8_triple_dot_identities(n):
 
 
 def test_criterion_9_ring_axioms_sample():
-    spec = RingSpec(4)
+    mul = RingSpec(4).mul
+
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
 
     @settings(max_examples=200, deadline=None)
-    @given(*(st.builds(lambda a, b: spec.el(a, b),
-                       st.integers(-20, 20), st.integers(-20, 20))
+    @given(*(st.tuples(st.integers(-20, 20), st.integers(-20, 20))
              for _ in range(3)))
     def inner(x, y, z):
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
     inner()
 

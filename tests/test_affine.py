@@ -275,14 +275,9 @@ def test_candidate_cap_admits_its_own_count(monkeypatch):
         enumerate_reflection_classes("C_alpha", 1, 2)
 
 
-def _stored(spec, x):
-    """The ring element x as the int pair AffineElement stores."""
-    return (x.a, x.b)
-
-
 def test_alpha_squared_overflows_in_the_kernel():
     spec = RingSpec()
-    alpha, zero = _stored(spec, spec.el(0, 1)), _stored(spec, spec.el(0))
+    alpha, zero = (0, 1), (0, 0)
     a = AffineElement(spec, (0,), (alpha,), (zero,))
     with pytest.raises(FormalAlphaOverflow):
         a * a
@@ -290,7 +285,7 @@ def test_alpha_squared_overflows_in_the_kernel():
 
 def test_constructor_rejects_bad_perm_and_zero_unit():
     spec = RingSpec()
-    one, zero = _stored(spec, spec.one()), _stored(spec, spec.el(0))
+    one, zero = (1, 0), (0, 0)
     with pytest.raises(ValueError):
         AffineElement(spec, (0, 0), (one, one), (zero, zero))
     with pytest.raises(ValueError):
