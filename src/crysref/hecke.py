@@ -50,10 +50,6 @@ class LaurentPoly:
         return cls(tuple(universe), tuple(sorted(clean.items())))
 
     @classmethod
-    def zero(cls, universe: Sequence[str]) -> "LaurentPoly":
-        return cls._make(universe, {})
-
-    @classmethod
     def const(cls, universe: Sequence[str], c: int) -> "LaurentPoly":
         z = (0,) * len(universe)
         return cls._make(universe, {z: c})
@@ -93,14 +89,6 @@ class LaurentPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly._make(self.universe, out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = LaurentPoly.const(self.universe, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -272,13 +260,9 @@ def build_gdaha(legs: Sequence[int], n: int) -> HeckePresentation:
     legs = tuple(legs)
     if len(legs) < 3 or any(d < 1 for d in legs):
         raise ValueError("legs must describe a star diagram (≥ 3 positive legs)")
-    if n < 1:
-        raise RankOutOfRange("rank must be positive")
     m = len(legs)
     raw = punctured_sphere_braid(m, n)
-    names = tuple(f"U{i}" for i in range(1, m + 1)) + tuple(
-        f"T{i}" for i in range(1, n)
-    )
+    names = tuple(nm.upper() for nm in raw.generator_names)
     braid = Presentation(names, raw.generator_orders, raw.relators)
     universe = [f"u{k}.{j}" for k in range(1, m + 1) for j in range(1, legs[k - 1] + 1)]
     universe.append("t")
@@ -323,19 +307,21 @@ class ParameterMap:
             if not img.is_unit_monomial():
                 raise ValueError(f"image of {name!r} is not a unit monomial")
 
-    def __call__(self, name: str) -> LaurentPoly:
-        return dict(self.assignments)[name]
-
     def apply_root(self, root: LaurentPoly) -> LaurentPoly:
-        """Push a unit-monomial root through the substitution."""
+        """Push a unit-monomial root through the substitution: each
+        exponent x of the root scales the exponent vector of its
+        parameter's image, whose sign ±1 is raised to |x|."""
         if not root.is_unit_monomial():
             raise ValueError("roots must be unit monomials")
-        e, c = root.terms[0]
-        out = LaurentPoly.const(self.target_universe, c)
+        (e, c), = root.terms
+        table = dict(self.assignments)
+        vec = [0] * len(self.target_universe)
         for name, x in zip(root.universe, e):
             if x != 0:
-                out = out * (self(name) ** x)
-        return out
+                (img, sign), = table[name].terms
+                vec = [a + x * b for a, b in zip(vec, img)]
+                c *= sign ** abs(x)
+        return LaurentPoly._make(self.target_universe, {tuple(vec): c})
 
 
 def gdaha_parameter_map(hp: HeckePresentation, target: HeckePresentation, n: int) -> ParameterMap:
@@ -584,18 +570,14 @@ def hecke_to_text(hp: HeckePresentation) -> str:
     names = hp.braid_part.generator_names
 
     def charpoly_line(label: str, roots) -> str:
-        universe = ("X",) + tuple(hp.universe)
-        x = LaurentPoly.var(universe, "X")
+        x = LaurentPoly.var(("X",) + hp.universe, "X")
         poly = monic_from_roots(x, list(roots))
-        degree = len(roots)
-        coeffs = []
-        for k in range(degree + 1):
-            ck = LaurentPoly.zero(tuple(hp.universe))
-            for e, c in poly.terms:
-                if e[0] == k:
-                    ck = ck + LaurentPoly._make(tuple(hp.universe), {e[1:]: c})
-            coeffs.append(str(ck))
-        return f"charpoly: {label} : " + ", ".join(coeffs)
+        # the coefficient of X^k, keyed by the exponents of the parameters
+        coeffs: list[dict] = [{} for _ in range(len(roots) + 1)]
+        for e, c in poly.terms:
+            coeffs[e[0]][e[1:]] = c
+        return f"charpoly: {label} : " + ", ".join(
+            str(LaurentPoly._make(hp.universe, ck)) for ck in coeffs)
 
     for name, roots in zip(names, hp.gen_roots):
         lines.append(charpoly_line(name, roots))

@@ -120,7 +120,8 @@ def _diagram_presentation(
     """The presentation a diagram on s1..sk encodes: an order relator per
     node, a braid relator per laced edge (in the orientation given), a
     commutator per pair with no edge (in index order), the x-relator x of
-    the x-lace if there is one, then base^e."""
+    the x-lace if there is one, then base^e.  ``artinize`` relies on this
+    layout: the k order relators come first and base^e comes last."""
     k = len(orders)
     names = tuple(f"s{i}" for i in range(1, k + 1))
     rels = [power_relator(i, o) for i, o in enumerate(orders)]
@@ -356,34 +357,20 @@ def special_torus_braid(n: int) -> Presentation:
 # Artin groups, abelianization, rendering
 
 
-def _is_order_relator(w: Word) -> bool:
-    ls = w.cyclic_reduce().letters
-    return bool(ls) and all((g, e) == ls[0] for g, e in ls)
-
-
 def artinize(p: Presentation) -> Presentation:
     """Delete all order relations (including the extra one) and forget
-    finite orders; braid, commutation and x relators survive unchanged."""
-    extra = p.extra_order_relation
-    expanded = None if extra is None else (extra[0] ** extra[1]).cyclic_normal_form()
-    kept = []
-    x_index = None
-    for i, r in enumerate(p.relators):
-        if _is_order_relator(r):
-            continue
-        if expanded is not None and r.cyclic_normal_form() == expanded:
-            continue
-        if i == p.x_relator_index:
-            x_index = len(kept)
-        kept.append(r)
-    diagram = p.diagram
-    if diagram is not None:
-        diagram = replace(
-            diagram, nodes=tuple((nm, None) for nm, _ in diagram.nodes)
-        )
+    finite orders; braid, commutation and x relators survive unchanged.
+
+    Reads the layout of ``_diagram_presentation``: the order relators are
+    the first k relators and ``base ** e`` is the last one."""
+    if p.diagram is None or p.extra_order_relation is None:
+        raise ValueError("artinize needs a diagram presentation")
+    k = p.num_generators
+    x_index = p.x_relator_index
+    diagram = replace(p.diagram, nodes=tuple((nm, None) for nm, _ in p.diagram.nodes))
     return Presentation(
-        p.generator_names, (None,) * p.num_generators, tuple(kept), None,
-        diagram, x_index
+        p.generator_names, (None,) * k, p.relators[k:-1], None, diagram,
+        None if x_index is None else x_index - k,
     )
 
 

@@ -10,6 +10,7 @@ import crysref.hecke
 from crysref.hecke import (
     GDAHA_LEGS,
     LaurentPoly,
+    ParameterMap,
     UniverseMismatch,
     build_gdaha,
     build_generic_hecke,
@@ -21,7 +22,7 @@ from crysref.hecke import (
     triple_dot_generator,
     triple_dot_report,
 )
-from crysref.presentations import UnsupportedFamily
+from crysref.presentations import RankOutOfRange, UnsupportedFamily
 from crysref.prover import ProofStatus
 
 UNI = ("x", "y")
@@ -35,7 +36,7 @@ lp_values = st.builds(
     lambda cs: sum(
         (LaurentPoly.var(UNI, "x", i - 2) * lp_const(c)
          for i, c in enumerate(cs)),
-        LaurentPoly.zero(UNI),
+        lp_const(0),
     ),
     st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=5),
 )
@@ -48,7 +49,7 @@ def test_laurent_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p + q) * r == p * r + q * r
     assert (p * q) * r == p * (q * r)
-    assert p - p == LaurentPoly.zero(UNI)
+    assert p - p == lp_const(0)
 
 
 def test_laurent_units_and_inverse():
@@ -64,6 +65,41 @@ def test_laurent_units_and_inverse():
 def test_universe_mismatch():
     with pytest.raises(UniverseMismatch):
         LaurentPoly.const(("a",), 1) + LaurentPoly.const(("b",), 1)
+
+
+SRC, TGT = ("a", "b", "c"), ("x", "y")
+
+
+def unit_monomials(universe, bound):
+    return st.builds(
+        lambda e, c: LaurentPoly._make(universe, {tuple(e): c}),
+        st.lists(st.integers(-bound, bound), min_size=len(universe),
+                 max_size=len(universe)),
+        st.sampled_from([1, -1]),
+    )
+
+
+def apply_root_by_powers(pm, root):
+    """The substitution as a fold: const · ∏ image ** x, each power taken
+    by repeated multiplication (of the inverse image when x < 0)."""
+    (e, c), = root.terms
+    table = dict(pm.assignments)
+    out = LaurentPoly.const(pm.target_universe, c)
+    for name, x in zip(root.universe, e):
+        img = table[name] if x > 0 else table[name].inverse()
+        for _ in range(abs(x)):
+            out = out * img
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(unit_monomials(SRC, 3), st.lists(unit_monomials(TGT, 2), min_size=3, max_size=3))
+def test_apply_root_matches_the_fold_of_powers(root, images):
+    pm = ParameterMap(SRC, TGT, tuple(zip(SRC, images)))
+    got = pm.apply_root(root)
+    assert got == apply_root_by_powers(pm, root)
+    # a sign raised to a negative power would be the float -1.0
+    assert all(type(c) is int for _, c in got.terms)
 
 
 HECKE_CASES = (
@@ -108,6 +144,13 @@ def test_gdaha_legs():
                           "E7": (2, 4, 4), "E8": (3, 6, 2)}
     hp = build_gdaha(GDAHA_LEGS["D4"], 2)
     assert hp.braid_part.num_generators >= 4
+
+
+def test_gdaha_names_and_rank_come_from_the_sphere_braid_group():
+    hp = build_gdaha(GDAHA_LEGS["D4"], 3)
+    assert hp.braid_part.generator_names == ("U1", "U2", "U3", "U4", "T1", "T2")
+    with pytest.raises(RankOutOfRange, match="^need n >= 1 strands$"):
+        build_gdaha(GDAHA_LEGS["D4"], 0)
 
 
 GDAHA_CASES = (

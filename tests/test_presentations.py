@@ -146,21 +146,50 @@ def test_invalid_ranks():
         build_group_presentation("G422", 3)
 
 
-def test_artinize_drops_orders():
-    p = build_group_presentation("C_alpha", 2)
-    a = artinize(p)
-    assert all(o is None for o in a.generator_orders)
-    assert a.extra_order_relation is None
-    names = a.generator_names
-    for r in a.relators:
-        # no square relators and no expanded extra relation survive
-        assert len(set(r.letters)) > 1
+def _artinize_by_scan(p):
+    """Artinization found by scanning: drop every relator that is
+    cyclically a power of one letter or a rotation of base^e, and follow
+    the x-relator through the filter."""
     base, e = p.extra_order_relation
-    assert (base ** e).cyclic_normal_form() not in {
-        r.cyclic_normal_form() for r in a.relators
-    }
-    # x-relator tracked through the filter
-    assert a.relators[a.x_relator_index] == p.relators[p.x_relator_index]
+    expanded = (base ** e).cyclic_normal_form()
+    kept, x_index = [], None
+    for i, r in enumerate(p.relators):
+        ls = r.cyclic_reduce().letters
+        if (ls and all(l == ls[0] for l in ls)) or r.cyclic_normal_form() == expanded:
+            continue
+        if i == p.x_relator_index:
+            x_index = len(kept)
+        kept.append(r)
+    return tuple(kept), x_index
+
+
+def _all_presentations(ranks):
+    for family in GROUP_FAMILIES:
+        for n in ranks:
+            try:
+                yield family, n, build_group_presentation(family, n)
+            except RankOutOfRange:
+                pass
+
+
+def test_artinize_drops_orders():
+    for family, n, p in _all_presentations(range(1, 15)):
+        a = artinize(p)
+        assert (a.relators, a.x_relator_index) == _artinize_by_scan(p), (family, n)
+        assert a.generator_names == p.generator_names
+        assert all(o is None for o in a.generator_orders)
+        assert a.extra_order_relation is None
+        assert a.diagram.edges == p.diagram.edges
+        assert a.diagram.nodes == tuple((nm, None) for nm, _ in p.diagram.nodes)
+        if p.x_relator_index is not None:
+            assert a.relators[a.x_relator_index] == p.relators[p.x_relator_index]
+
+
+@pytest.mark.parametrize("braid", [punctured_sphere_braid(4, 2), special_torus_braid(3)],
+                         ids=["sphere", "torus"])
+def test_artinize_needs_a_diagram_presentation(braid):
+    with pytest.raises(ValueError, match="diagram"):
+        artinize(braid)
 
 
 def test_sphere_braid_relator_counts():
@@ -325,6 +354,10 @@ def test_diagram_encodes_the_relators(family):
                                for m in range(2, 7))
         x = p.x_relator_index is not None
         assert len(p.relators) == k + len(laced) + len(unlinked) + x + 1
+        # artinize reads this layout: order relators first, base^e last
+        for i, (_, o) in enumerate(d.nodes):
+            assert p.relators[i] == power_relator(i, o), (family, n, i)
+        assert p.relators[-1] == base ** e, (family, n)
 
 
 @pytest.mark.parametrize("orders", ["0 2", "2 -3"])
