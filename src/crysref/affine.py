@@ -14,7 +14,8 @@ and ``_entries`` the one printer, through ``RingSpec.text``.  A word is
 evaluated, and a class candidate conjugated, in one ``_compose`` call.
 The class grid, its closure and the choice of representatives work on
 triples alone; an ``AffineElement`` is built only where a caller gets one
-back or a representative is classified.
+back or a representative is classified.  Conjugations and relator checks
+work only on the coordinates that their generators move (``_moved``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def _compose(mul, x: Triple, *rest: Triple) -> Triple:
         out_units.append(u)
         out_shift.append((a, b))
     return tuple(out_perm), tuple(out_units), tuple(out_shift)
+
+
+def _moved(x: Triple) -> set[int]:
+    """The coordinates where x differs from the identity, a set closed
+    under perm: two triples whose moved sets do not meet commute."""
+    return {i for i, (p, u, t) in enumerate(zip(*x))
+            if p != i or u != (1, 0) or t != (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -264,29 +272,47 @@ def verify_presentation(
     presentation, gens: Sequence[AffineElement]
 ) -> dict:
     """Check every relator (and the extra order relation) against the
-    matrices.  Returns a JSON-able report."""
+    matrices.  Returns a JSON-able report.  A word is checked on the
+    coordinates its letters move alone, since they fix the others with zero
+    shift; only a failing word is evaluated in full, for its witness."""
     if len(gens) != presentation.num_generators:
         raise ValueError("generator count mismatch")
-    names = presentation.generator_names
-    results = [{"relator_index": idx, "word_text": rel.text(names),
-                **_holds(rel, gens)}
-               for idx, rel in enumerate(presentation.relators)]
-    report = {"pass": all(r["pass"] for r in results), "relators": results}
+    spec, n = gens[0].spec, gens[0].dim
+    if any(a.spec != spec or a.dim != n for a in gens):
+        raise SpecMismatchError("cannot compose over different rings/dims")
+    factors = {(g, e): (a if e == 1 else a.inverse()).triple
+               for g, a in enumerate(gens) for e in (1, -1)}
+    moved = [_moved(a.triple) for a in gens]
+
+    def holds(word: Word) -> dict:
+        on = sorted(set().union(*(moved[g] for g, _ in word.letters)))
+        restricted = {x: _restrict(factors[x], on) for x in set(word.letters)}
+        identity = AffineElement.identity(spec, len(on)).triple
+        if not _moved(_compose(spec.mul, identity,
+                               *map(restricted.__getitem__, word.letters))):
+            return {"pass": True}
+        return {"pass": False,
+                "witness_matrix": _matrix_json(evaluate_word(word, gens))}
+
+    names, relators = presentation.generator_names, presentation.relators
+    verdicts = [holds(rel) for rel in relators]
+    results = [{"relator_index": idx, "word_text": rel.text(names), **v}
+               for idx, (rel, v) in enumerate(zip(relators, verdicts))]
+    report = {"pass": all(v["pass"] for v in verdicts), "relators": results}
     if presentation.extra_order_relation is not None:
         base, e = presentation.extra_order_relation
-        entry = {"word_text": base.text(names), "order": e,
-                 **_holds(base ** e, gens)}
+        entry = {"word_text": base.text(names), "order": e, **(
+            verdicts[-1] if relators[-1:] == (base ** e,) else holds(base ** e))}
         report["pass"] = report["pass"] and entry["pass"]
         report["extra_order"] = entry
     return report
 
 
-def _holds(word: Word, gens: Sequence[AffineElement]) -> dict:
-    """``{"pass": True}``, or the failing value of the word as a witness."""
-    val = evaluate_word(word, gens)
-    if val.is_identity():
-        return {"pass": True}
-    return {"pass": False, "witness_matrix": _matrix_json(val)}
+def _restrict(x: Triple, on: Sequence[int]) -> Triple:
+    """x on the coordinates ``on``, closed under its perm, reindexed."""
+    at = {k: i for i, k in enumerate(on)}
+    perm, units, shift = ([v[k] for k in on] for v in x)
+    return tuple(at[p] for p in perm), tuple(units), tuple(shift)
 
 
 def _matrix_json(a: AffineElement) -> dict:
@@ -329,10 +355,10 @@ def classify_element(a: AffineElement) -> dict:
 
 
 # the most extended candidates enumerate_reflection_classes builds.  The
-# slowest input at a given count is bound 0 at the largest rank, each
-# candidate costing O(n) per conjugation by the n + 1 generators.  On a
-# shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took 7.1 s
-# and 27 MB, n=38 (17,575) 8.9 s; A_alpha n=3 bound 34 (15,987) 0.2 s
+# slowest input at a given count is bound 0 at the largest rank: each
+# candidate is conjugated, at O(n), only by the generators that meet it.
+# On a shared 2-core VM, A_alpha n=36 bound 0 (15,750 candidates) took
+# 1.3 s and 27 MB, n=38 (17,575) 1.8 s; A_alpha n=3 bound 34 (15,987) 0.3 s
 MAX_CANDIDATES = 16_000
 
 
@@ -366,12 +392,16 @@ def enumerate_reflection_classes(family: str, n: int, bound: int = 2) -> list[di
         return i
 
     # the conjugation edges are a fixed graph; one pass over all edges is
-    # enough for union-find connectivity.  y = c·x·c⁻¹ exactly when
-    # x = c⁻¹·y·c, so conjugating by the generators alone finds every edge
-    mul, conjugators = spec.mul, [(g.triple, g.inverse().triple) for g in gens]
-    for i, x in enumerate(index):
-        for c, c_inv in conjugators:
-            j = index.get(_compose(mul, c, x, c_inv))
+    # enough for union-find connectivity.  y = c·x·c⁻¹ iff x = c⁻¹·y·c, so the
+    # generators find every edge; one moving none of x's coordinates fixes x
+    mul, meets = spec.mul, {}  # coordinate -> the candidates that move it
+    for i, x in enumerate(extended):
+        for k in _moved(x):
+            meets.setdefault(k, []).append(i)
+    for g in gens:
+        c, c_inv = g.triple, g.inverse().triple
+        for i in set().union(*(meets.get(k, ()) for k in _moved(c))):
+            j = index.get(_compose(mul, c, extended[i], c_inv))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:

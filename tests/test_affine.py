@@ -22,7 +22,8 @@ from crysref.affine import (
     verify_presentation,
 )
 from crysref.affine import (
-    _candidate_count, _compose, _matrix_json, _reflection_candidates)
+    _candidate_count, _compose, _matrix_json, _moved,
+    _reflection_candidates, _restrict)
 from crysref.presentations import build_group_presentation
 from crysref.ring import FormalAlphaOverflow, RingSpec, SpecMismatchError
 from crysref.words import Word, parse_word
@@ -220,10 +221,15 @@ def test_reflection_classes_are_pinned(family, n):
 
 # the same digest at bounds 0, 1 and 3, for every rank that ALL_CASES checks,
 # and at two shapes near the candidate cap: the largest admitted bound at
-# rank 3 (15,987 candidates) and rank 12 at bound 0
+# rank 3 (15,987 candidates) and rank 12 at bound 0.  At bound 0 for C_alpha
+# 8 and 12 and A_alpha 12 and 20, most generators fix most candidates, so
+# most conjugations are skipped
 WIDE_CLASS_DIGESTS = {
     ("A_alpha", 3, 34): "d5b8fcc27571036d36ecefe3c38b2f50d90c4a1a5b66d42c621e679706dc9763",
     ("C_alpha", 12, 0): "55df73c5dd4b6cd300e8e1110755d07cca21215b824aadc1854ce48984dda1d9",
+    ("A_alpha", 12, 0): "bd74ce8f3cacc71f56595f0c8f03957d20bdd4767a9793570e0772d21c5ef352",
+    ("A_alpha", 20, 0): "c8803156fff9343ea933ddcd11734ec3809b6a207b4e94582c9c9910aa25fbef",
+    ("C_alpha", 8, 0): "52a14b733a83e5520551a2ebd89b14c05e1d32737de5f3924e409215ad2bf2a0",
     ("A_alpha", 2, 0): "2f7b4b8b18a64205efcd7f97fa7cc00f406d1c8406953b3a7c3426f967f1c3c8",
     ("A_alpha", 2, 1): "9a6171b9920450ad07b1d16e00d407cc093c5c3a96d8e7dbd0261e0db8c2ad1c",
     ("A_alpha", 2, 3): "f115cde939d6e7b725b327268cd55dc7d62dbc5d33dd6d11d7b9af0577061286",
@@ -263,6 +269,55 @@ def test_reflection_classes_are_pinned_at_other_bounds(family, n, bound):
 def test_candidate_count_matches_the_candidates(family, n, bound):
     assert _candidate_count(family, n, bound) == \
         len(_reflection_candidates(family, n, bound))
+
+
+@pytest.mark.parametrize("family,n", [
+    (f, n) for f in ("A_alpha", "C_alpha")
+    for n in range(2 if f == "A_alpha" else 1, 7)], ids=str)
+def test_generators_fix_the_candidates_they_do_not_meet(family, n):
+    # the conjugations that enumerate_reflection_classes skips are self-loops
+    spec, gens = build_generator_matrices(family, n)
+    skipped = 0
+    for g in gens:
+        c, c_inv = g.triple, g.inverse().triple
+        for x in _reflection_candidates(family, n, 4):  # bound 2, extended
+            if not _moved(c) & _moved(x):
+                assert _compose(spec.mul, c, x, c_inv) == x
+                skipped += 1
+    assert skipped or n < 4
+
+
+@st.composite
+def _sparse_triple_pairs(draw):
+    """Two triples of one dimension over Z[i], each the identity off a
+    drawn set of coordinates; a drawn entry may still be the identity's."""
+    n = draw(st.integers(1, 6))
+
+    def triple():
+        on = draw(st.lists(st.integers(0, n - 1), unique=True))
+        perm, units, shift = list(range(n)), [(1, 0)] * n, [(0, 0)] * n
+        for k, p in zip(on, draw(st.permutations(on))):
+            perm[k] = p
+            units[k] = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1)]))
+            shift[k] = draw(SHIFTS)
+        return tuple(perm), tuple(units), tuple(shift)
+
+    return triple(), triple()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sparse_triple_pairs())
+def test_triples_that_move_apart_commute(pair):
+    # a moved set that ignored the shift or the units would call a
+    # translation or a diagonal unit apart from a triple that moves it
+    x, y = pair
+    mul = RingSpec(4).mul
+    for z in pair:
+        assert {z[0][k] for k in _moved(z)} == _moved(z)
+        assert all(z[0][k] == k and z[1][k] == (1, 0) and z[2][k] == (0, 0)
+                   for k in set(range(len(z[0]))) - _moved(z))
+    if not _moved(x) & _moved(y):
+        assert _compose(mul, x, y) == _compose(mul, y, x)
 
 
 def test_candidate_cap_admits_its_own_count(monkeypatch):
@@ -314,6 +369,17 @@ def test_evaluate_word_rejects_generators_of_another_ring_or_dimension():
         for letters in ([(1, 1)], [(1, -1)], [(0, 1), (1, 1), (0, 1)]):
             with pytest.raises(SpecMismatchError):
                 evaluate_word(Word(letters), [a, other])
+
+
+def test_verify_rejects_generators_of_another_ring_or_dimension():
+    pres = build_group_presentation("A_alpha", 3)
+    _, gens = build_generator_matrices("A_alpha", 3)
+    _, (_, c, *_) = build_generator_matrices("C_alpha", 4)
+    _, (_, g, *_) = build_generator_matrices("G611", 3)
+    for other in (g, c):
+        for k in (0, len(gens) - 1):
+            with pytest.raises(SpecMismatchError):
+                verify_presentation(pres, gens[:k] + (other,) + gens[k + 1:])
 
 
 def test_matrix_families_constant():
@@ -498,3 +564,52 @@ def test_failing_relations_report_witnesses(family, n, word, relator_witness,
     assert report["extra_order"] == {
         "word_text": base.text(pres.generator_names), "order": e + 1,
         "pass": False, "witness_matrix": order_witness}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(f, n) for f in MATRIX_FAMILIES
+                        for n in range(2 if f == "A_alpha" else 1, 9)]),
+       st.data())
+def test_moved_coordinate_check_matches_the_full_product(case, data):
+    # a product of conjugated relators is the identity, and one extra
+    # letter most often breaks it
+    gens = _generators(*case)
+    pres = build_group_presentation(*case)
+    letter = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([-1, 1]))
+    letters = []
+    for rel in data.draw(st.lists(st.sampled_from(pres.relators), max_size=3)):
+        w = Word(data.draw(st.lists(letter, max_size=3)))
+        letters += (w * rel * w.inverse()).letters
+    for x in data.draw(st.lists(letter, max_size=1)):
+        letters.insert(data.draw(st.integers(0, len(letters))), x)
+    word = Word(letters)
+    full = evaluate_word(word, gens)
+    one = dataclasses.replace(pres, relators=(word,), extra_order_relation=None)
+    assert verify_presentation(one, gens)["pass"] == full.is_identity()
+    # the restricted product is the full one on S, which holds all it moves
+    on = sorted(set().union(*(_moved(gens[g].triple) for g, _ in word.letters)))
+    spec = gens[0].spec
+    restricted = _compose(
+        spec.mul, AffineElement.identity(spec, len(on)).triple,
+        *(_restrict((gens[g] if e == 1 else gens[g].inverse()).triple, on)
+          for g, e in word.letters))
+    assert restricted == _restrict(full.triple, on)
+    assert _moved(full.triple) <= set(on)
+
+
+@pytest.mark.parametrize("family,n", [("C_alpha", 3), ("A_alpha", 3), ("G411", 2)])
+def test_only_failing_words_are_evaluated_in_full(monkeypatch, family, n):
+    # the rotated generators break some relators and base ** e, the last
+    # relator, whose verdict the extra order entry reuses
+    pres = build_group_presentation(family, n)
+    _, gens = build_generator_matrices(family, n)
+    calls = []
+    monkeypatch.setattr(affine, "evaluate_word",
+                        lambda word, gs: calls.append(word) or evaluate_word(word, gs))
+    report = verify_presentation(pres, gens[1:] + gens[:1])
+    failing = [pres.relators[r["relator_index"]]
+               for r in report["relators"] if not r["pass"]]
+    assert calls == failing and failing[-1] == pres.relators[-1]
+    assert report["extra_order"]["witness_matrix"] == \
+        report["relators"][-1]["witness_matrix"]
+    assert verify_presentation(pres, gens)["pass"] and len(calls) == len(failing)
